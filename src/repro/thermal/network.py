@@ -12,21 +12,62 @@ implements that abstraction as a small graph-based solver:
 * fixed nodes (ambient) never change temperature and absorb whatever heat
   reaches them.
 
-Integration uses forward-Euler with automatic sub-stepping so that the step
-size is always well below the smallest node time constant; this keeps the
-solver simple, robust to the stiff junction node (tiny capacitance, small
-resistance to the PCM), and exactly energy conserving up to float rounding,
-which the property tests rely on.
+The solver is exact, not a time-stepping approximation.  The network is
+linear except for the PCM phase, so while every PCM node stays in one phase
+it is a linear time-invariant system.  A PCM node that is solid or liquid is
+*free*: it behaves like a capacitance node with the block's sensible
+capacity.  A PCM node on its melt plateau is *clamped* at the melting point,
+like a fixed node, and its enthalpy absorbs the net heat that reaches it.
+For the free temperatures ``x`` and the clamped temperatures ``T_K``::
+
+    C dx/dt = -L_FF x - L_FK T_K + P_F
+
+where ``L`` is the conductance (graph Laplacian) matrix.  The network
+compiles this system once per PCM phase set: it factors the symmetric
+``C^-1/2 L_FF C^-1/2`` with :func:`numpy.linalg.eigh` and, for each step
+length ``dt``, caches one affine propagator that maps the node temperatures
+and injected powers to the heat every node absorbs over the step.  Free
+nodes take ``e^{A dt}`` and the ``phi_1`` term; clamped nodes (ambient, a
+melting PCM) take the integrated flow, the ``phi_2`` term.  A step is then
+one small matrix-vector product.
+
+Energy is conserved to float rounding: the heat a step hands to the
+ambient and to a melting PCM is integrated from the flows themselves, not
+inferred from the energy balance, so the conservation tests remain a real
+check.  When a step would carry a PCM node across its solid/plateau/liquid
+boundary, bisection finds the crossing time and the step is split there.
+A crossing that reverses within a single step goes undetected; the
+simulator's millisecond steps keep that far below any resolvable effect.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from repro.thermal.pcm import PhaseChangeBlock
 
 PowerMap = Mapping[str, float]
+
+#: Phases of a PCM node as the solver sees them.
+_SOLID, _MELTING, _LIQUID = "solid", "melting", "liquid"
+
+#: Below this ``|lambda dt|`` the phi functions use their Taylor series, which
+#: avoids the cancellation in ``(e^z - 1 - z) / z^2``.
+_SERIES_BELOW = 0.1
+_PHI1_SERIES = [1.0 / math.factorial(k + 1) for k in range(9)][::-1]
+_PHI2_SERIES = [1.0 / math.factorial(k + 2) for k in range(9)][::-1]
+
+#: Propagators kept per phase set; step lengths beyond this evict the cache.
+_PROPAGATOR_CACHE = 32
+
+
+def _require_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
 
 
 @dataclass
@@ -37,9 +78,6 @@ class _CapacitanceNode:
 
     def add_heat(self, joules: float) -> None:
         self.temperature_c += joules / self.capacitance_j_k
-
-    def effective_capacity(self) -> float:
-        return self.capacitance_j_k
 
 
 @dataclass
@@ -54,9 +92,6 @@ class _PcmNode:
     def add_heat(self, joules: float) -> None:
         self.block.add_heat(joules)
 
-    def effective_capacity(self) -> float:
-        return self.block.effective_capacity_j_k()
-
 
 @dataclass
 class _FixedNode:
@@ -66,9 +101,6 @@ class _FixedNode:
 
     def add_heat(self, joules: float) -> None:
         self.absorbed_j += joules
-
-    def effective_capacity(self) -> float:
-        return float("inf")
 
 
 @dataclass(frozen=True)
@@ -87,6 +119,142 @@ class NetworkState:
     melt_fractions: dict[str, float] = field(default_factory=dict)
 
 
+def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``e^z - 1``, ``phi_1(z) = (e^z - 1)/z`` and ``phi_2(z) = (e^z - 1 - z)/z^2``."""
+    em1 = np.expm1(z)
+    small = np.abs(z) < _SERIES_BELOW
+    safe = np.where(small, 1.0, z)
+    phi1 = np.where(small, np.polyval(_PHI1_SERIES, z), em1 / safe)
+    phi2 = np.where(small, np.polyval(_PHI2_SERIES, z), (em1 - z) / (safe * safe))
+    return em1, phi1, phi2
+
+
+class _LinearSystem:
+    """The network linearised for one PCM phase set.
+
+    ``propagator(dt)`` is the ``n x 2n`` matrix taking ``[T; P]`` (every
+    node's temperature, then every node's injected power) to the heat each
+    node absorbs over ``dt``.
+    """
+
+    def __init__(self, laplacian: np.ndarray, capacity: np.ndarray, clamped: np.ndarray) -> None:
+        self._n = len(capacity)
+        self._free = np.flatnonzero(~clamped)
+        self._clamped = np.flatnonzero(clamped)
+        free, fixed = self._free, self._clamped
+        root = np.sqrt(capacity[free])
+        symmetric = laplacian[np.ix_(free, free)] / np.outer(root, root)
+        rates, modes = np.linalg.eigh(symmetric)
+        # Rounding can leave a zero rate (a floating island) slightly negative.
+        self._rates = np.maximum(rates, 0.0)
+        self._heat_left = root[:, None] * modes  # C^1/2 V
+        self._flow_left = modes / root[:, None]  # C^-1/2 V
+        self._from_x = modes.T * root  # V^T C^1/2
+        self._from_f = modes.T / root  # V^T C^-1/2
+        # Free forcing f = coupling @ T_K + P_F; clamped heat rate is
+        # drain @ x + hold @ T_K + P_K.
+        self._coupling = -laplacian[np.ix_(free, fixed)]
+        self._drain = -laplacian[np.ix_(fixed, free)]
+        self._hold = -laplacian[np.ix_(fixed, fixed)]
+        self._cache: dict[float, np.ndarray] = {}
+
+    def propagator(self, dt_s: float) -> np.ndarray:
+        matrix = self._cache.get(dt_s)
+        if matrix is None:
+            if len(self._cache) >= _PROPAGATOR_CACHE:
+                self._cache.clear()
+            matrix = self._cache[dt_s] = self.build(dt_s)
+        return matrix
+
+    def build(self, dt_s: float) -> np.ndarray:
+        n, free, fixed = self._n, self._free, self._clamped
+        em1, phi1, phi2 = _phi(-self._rates * dt_s)
+        heat_x = (self._heat_left * em1) @ self._from_x
+        heat_f = dt_s * (self._heat_left * phi1) @ self._from_f
+        flow_x = dt_s * (self._flow_left * phi1) @ self._from_x
+        flow_f = dt_s * dt_s * (self._flow_left * phi2) @ self._from_f
+
+        matrix = np.zeros((n, 2 * n))
+        matrix[np.ix_(free, free)] = heat_x
+        matrix[np.ix_(free, fixed)] = heat_f @ self._coupling
+        matrix[np.ix_(free, n + free)] = heat_f
+        matrix[np.ix_(fixed, free)] = self._drain @ flow_x
+        matrix[np.ix_(fixed, fixed)] = self._drain @ flow_f @ self._coupling + dt_s * self._hold
+        matrix[np.ix_(fixed, n + free)] = self._drain @ flow_f
+        matrix[fixed, n + fixed] = dt_s
+        return matrix
+
+
+class _Topology:
+    """Node order, conductance matrix and compiled phase sets of a network."""
+
+    def __init__(self, nodes: dict, edges: list[_Edge]) -> None:
+        names = list(nodes)
+        self.nodes = list(nodes.values())
+        self.index = {name: i for i, name in enumerate(names)}
+        n = len(names)
+        self.laplacian = np.zeros((n, n))
+        for edge in edges:
+            a, b = self.index[edge.node_a], self.index[edge.node_b]
+            g = 1.0 / edge.resistance_k_w
+            self.laplacian[a, a] += g
+            self.laplacian[b, b] += g
+            self.laplacian[a, b] -= g
+            self.laplacian[b, a] -= g
+        self.pcm = [
+            (i, node.block) for i, node in enumerate(self.nodes) if isinstance(node, _PcmNode)
+        ]
+        self.systems: dict[tuple[str, ...], _LinearSystem] = {}
+
+    def system(self, phases: tuple[str, ...]) -> _LinearSystem:
+        system = self.systems.get(phases)
+        if system is None:
+            capacity = np.ones(len(self.nodes))
+            clamped = np.zeros(len(self.nodes), dtype=bool)
+            for i, node in enumerate(self.nodes):
+                if isinstance(node, _CapacitanceNode):
+                    capacity[i] = node.capacitance_j_k
+                elif isinstance(node, _FixedNode):
+                    clamped[i] = True
+            for (i, block), phase in zip(self.pcm, phases):
+                capacity[i] = block.sensible_capacity_j_k
+                clamped[i] = phase == _MELTING
+            system = self.systems[phases] = _LinearSystem(self.laplacian, capacity, clamped)
+        return system
+
+    def phases(self) -> tuple[str, ...]:
+        """Current phase of every PCM node.
+
+        A block exactly on a phase boundary counts as single-phase; if the
+        step drives it into the plateau, the crossing check splits the step
+        at once.
+        """
+        phases = []
+        for _, block in self.pcm:
+            enthalpy = block.enthalpy_j
+            if enthalpy <= 0.0:
+                phases.append(_SOLID)
+            elif enthalpy >= block.latent_capacity_j:
+                phases.append(_LIQUID)
+            else:
+                phases.append(_MELTING)
+        return tuple(phases)
+
+    def crosses(self, phases: tuple[str, ...], heat: list[float]) -> bool:
+        """Whether absorbing ``heat`` takes any PCM node out of its phase."""
+        for (i, block), phase in zip(self.pcm, phases):
+            enthalpy = block.enthalpy_j + heat[i]
+            if phase == _SOLID:
+                if enthalpy > 0.0:
+                    return True
+            elif phase == _LIQUID:
+                if enthalpy < block.latent_capacity_j:
+                    return True
+            elif not 0.0 <= enthalpy <= block.latent_capacity_j:
+                return True
+        return False
+
+
 class ThermalNetwork:
     """A lumped-parameter thermal RC network.
 
@@ -103,15 +271,12 @@ class ThermalNetwork:
         net.step(dt_s=0.01, power_w={"junction": 16.0})
     """
 
-    #: Fraction of the smallest node time constant used as the sub-step size.
-    #: Forward Euler is stable below 1.0; 0.05 keeps the discretisation error
-    #: of exponential decays below a few percent.
-    stability_safety = 0.05
-
     def __init__(self, ambient_c: float = 25.0) -> None:
+        _require_finite(ambient_c, "ambient temperature")
         self.ambient_c = ambient_c
         self._nodes: dict[str, _CapacitanceNode | _PcmNode | _FixedNode] = {}
         self._edges: list[_Edge] = []
+        self._topology: _Topology | None = None
         self._time_s = 0.0
         self._injected_j = 0.0
 
@@ -125,34 +290,40 @@ class ThermalNetwork:
     ) -> None:
         """Add a node with plain sensible heat capacity."""
         self._check_new_name(name)
-        if capacitance_j_k <= 0:
-            raise ValueError(f"capacitance must be positive, got {capacitance_j_k}")
+        if not (math.isfinite(capacitance_j_k) and capacitance_j_k > 0):
+            raise ValueError(f"capacitance must be positive and finite, got {capacitance_j_k}")
         temperature = (
             self.ambient_c if initial_temperature_c is None else initial_temperature_c
         )
+        _require_finite(temperature, "initial temperature")
         self._nodes[name] = _CapacitanceNode(name, capacitance_j_k, temperature)
+        self._topology = None
 
     def add_pcm_node(self, name: str, block: PhaseChangeBlock) -> None:
         """Add a node whose state is a :class:`PhaseChangeBlock`."""
         self._check_new_name(name)
         self._nodes[name] = _PcmNode(name, block)
+        self._topology = None
 
     def add_fixed_node(self, name: str, temperature_c: float | None = None) -> None:
         """Add a fixed-temperature node (the ambient environment)."""
         self._check_new_name(name)
         temperature = self.ambient_c if temperature_c is None else temperature_c
+        _require_finite(temperature, "fixed temperature")
         self._nodes[name] = _FixedNode(name, temperature)
+        self._topology = None
 
     def connect(self, node_a: str, node_b: str, resistance_k_w: float) -> None:
         """Connect two nodes with a thermal resistance in K/W."""
-        if resistance_k_w <= 0:
-            raise ValueError(f"resistance must be positive, got {resistance_k_w}")
+        if not (math.isfinite(resistance_k_w) and resistance_k_w > 0):
+            raise ValueError(f"resistance must be positive and finite, got {resistance_k_w}")
         for name in (node_a, node_b):
             if name not in self._nodes:
                 raise KeyError(f"unknown node {name!r}")
         if node_a == node_b:
             raise ValueError("cannot connect a node to itself")
         self._edges.append(_Edge(node_a, node_b, resistance_k_w))
+        self._topology = None
 
     def _check_new_name(self, name: str) -> None:
         if not name:
@@ -248,28 +419,32 @@ class ThermalNetwork:
         Parameters
         ----------
         dt_s:
-            Duration to advance.  Internally split into sub-steps that
-            respect the smallest node time constant.
+            Duration to advance; finite and non-negative.  The step is solved
+            exactly, split only where a PCM node changes phase.
         power_w:
             Mapping from node name to injected power in watts, held constant
-            over the step.  Unlisted nodes receive no power.
+            over the step.  Unlisted nodes receive no power.  Every value
+            must be finite.
         """
-        if dt_s < 0:
-            raise ValueError(f"dt must be non-negative, got {dt_s}")
+        if not (math.isfinite(dt_s) and dt_s >= 0):
+            raise ValueError(f"dt must be finite and non-negative, got {dt_s}")
+        topology = self._topology or self._compile()
+        watts = [0.0] * len(topology.nodes)
+        for name, value in (power_w or {}).items():
+            index = topology.index.get(name)
+            if index is None:
+                raise KeyError(f"power injected into unknown node {name!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"power into {name!r} must be finite, got {value}")
+            watts[index] += value
         if dt_s == 0:
             return
-        power = dict(power_w or {})
-        for name in power:
-            if name not in self._nodes:
-                raise KeyError(f"power injected into unknown node {name!r}")
 
         remaining = dt_s
-        while remaining > 1e-15:
-            sub_dt = min(remaining, self._stable_dt())
-            self._euler_substep(sub_dt, power)
-            remaining -= sub_dt
+        while remaining > 0.0:
+            remaining -= self._advance(topology, remaining, watts)
         self._time_s += dt_s
-        self._injected_j += sum(power.values()) * dt_s
+        self._injected_j += sum(watts) * dt_s
 
     def run(
         self,
@@ -284,10 +459,10 @@ class ThermalNetwork:
         returning a mapping.  Returns the list of sampled states including
         the initial state.
         """
-        if duration_s < 0:
-            raise ValueError("duration must be non-negative")
-        if sample_dt_s <= 0:
-            raise ValueError("sample_dt_s must be positive")
+        if not (math.isfinite(duration_s) and duration_s >= 0):
+            raise ValueError(f"duration must be finite and non-negative, got {duration_s}")
+        if not (math.isfinite(sample_dt_s) and sample_dt_s > 0):
+            raise ValueError(f"sample_dt_s must be positive and finite, got {sample_dt_s}")
         states = [self.state()]
         if callback is not None:
             callback(states[0])
@@ -305,38 +480,31 @@ class ThermalNetwork:
 
     # -- internals ----------------------------------------------------------------
 
-    def _stable_dt(self) -> float:
-        """Largest forward-Euler step that keeps every node stable."""
-        conductance: dict[str, float] = {name: 0.0 for name in self._nodes}
-        for edge in self._edges:
-            g = 1.0 / edge.resistance_k_w
-            conductance[edge.node_a] += g
-            conductance[edge.node_b] += g
-        smallest = float("inf")
-        for name, node in self._nodes.items():
-            g = conductance[name]
-            if g == 0.0:
-                continue
-            capacity = node.effective_capacity()
-            if capacity == float("inf"):
-                continue
-            smallest = min(smallest, capacity / g)
-        if smallest == float("inf"):
-            # No resistive couplings: any step size is stable.
-            return float("inf")
-        return self.stability_safety * smallest
+    def _compile(self) -> _Topology:
+        self._topology = _Topology(self._nodes, self._edges)
+        return self._topology
 
-    def _euler_substep(self, dt_s: float, power: dict[str, float]) -> None:
-        heat: dict[str, float] = {name: 0.0 for name in self._nodes}
-        temps = {name: node.temperature_c for name, node in self._nodes.items()}
-        for edge in self._edges:
-            flow_w = (temps[edge.node_a] - temps[edge.node_b]) / edge.resistance_k_w
-            heat[edge.node_a] -= flow_w * dt_s
-            heat[edge.node_b] += flow_w * dt_s
-        for name, watts in power.items():
-            heat[name] += watts * dt_s
-        for name, joules in heat.items():
-            self._nodes[name].add_heat(joules)
+    def _advance(self, topology: _Topology, dt_s: float, watts: list[float]) -> float:
+        """Advance up to ``dt_s`` within one phase set; returns the time taken."""
+        phases = topology.phases()
+        system = topology.system(phases)
+        vector = np.array([node.temperature_c for node in topology.nodes] + watts)
+        heat = (system.propagator(dt_s) @ vector).tolist()
+        taken = dt_s
+        if topology.crosses(phases, heat):
+            # Bisect for the first phase crossing; ``taken`` always lies just
+            # past it, so the crossing node leaves this step in its new phase.
+            before = 0.0
+            while taken - before > 1e-12 * dt_s:
+                middle = 0.5 * (before + taken)
+                trial = (system.build(middle) @ vector).tolist()
+                if topology.crosses(phases, trial):
+                    taken, heat = middle, trial
+                else:
+                    before = middle
+        for node, joules in zip(topology.nodes, heat):
+            node.add_heat(joules)
+        return taken
 
 
 def total_resistance_between(

@@ -21,6 +21,7 @@ seen in sprinting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.thermal.materials import GENERIC_PCM, Material
@@ -48,8 +49,12 @@ class PhaseChangeBlock:
     initial_temperature_c: float = 25.0
 
     def __post_init__(self) -> None:
-        if self.mass_g <= 0:
-            raise ValueError(f"PCM mass must be positive, got {self.mass_g}")
+        if not (math.isfinite(self.mass_g) and self.mass_g > 0):
+            raise ValueError(f"PCM mass must be positive and finite, got {self.mass_g}")
+        if not math.isfinite(self.initial_temperature_c):
+            raise ValueError(
+                f"initial temperature must be finite, got {self.initial_temperature_c}"
+            )
         if not self.material.is_phase_change:
             raise ValueError(
                 f"material {self.material.name!r} has no latent heat; "

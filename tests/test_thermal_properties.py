@@ -8,7 +8,7 @@ from repro.thermal.network import ThermalNetwork
 from repro.thermal.package import PcmPackage
 from repro.thermal.pcm import PhaseChangeBlock
 
-# Keep runtimes modest: the RC solver sub-steps internally.
+# Keep runtimes modest: every example builds and steps a fresh network.
 COMMON_SETTINGS = dict(max_examples=30, deadline=None)
 
 

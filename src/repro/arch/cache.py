@@ -99,10 +99,12 @@ def capacity_miss_scale(working_set_bytes: float, capacity_bytes: float) -> floa
     The square-root form reflects the classic observation that miss rate
     falls roughly with the square root of cache size for a fixed workload.
     """
-    if working_set_bytes <= 0:
-        raise ValueError("working set must be positive")
-    if capacity_bytes <= 0:
-        raise ValueError("capacity must be positive")
+    if not 0.0 < working_set_bytes < math.inf:
+        raise ValueError(
+            f"working set must be positive and finite, got {working_set_bytes!r}"
+        )
+    if not 0.0 < capacity_bytes < math.inf:
+        raise ValueError(f"capacity must be positive and finite, got {capacity_bytes!r}")
     ratio = working_set_bytes / capacity_bytes
     if ratio >= 1.0:
         return 1.0
@@ -145,8 +147,10 @@ class CacheHierarchy:
             raise ValueError("intrinsic L1 miss rate must be in [0, 1]")
         if not 0.0 <= intrinsic_l2_miss <= 1.0:
             raise ValueError("intrinsic L2 miss rate must be in [0, 1]")
-        if working_set_bytes <= 0:
-            raise ValueError("working set must be positive")
+        if not 0.0 < working_set_bytes < math.inf:
+            raise ValueError(
+                f"working set must be positive and finite, got {working_set_bytes!r}"
+            )
         if sharers < 1:
             raise ValueError("sharers must be at least 1")
 

@@ -20,10 +20,21 @@ instruction:
 The engine supports changing the number of powered cores and the operating
 point between quanta, which is how the sprint runtime terminates a sprint
 (migrate to one core) or sprints via DVFS instead of parallelism.
+
+Every rate the models above produce — miss rates, CPI, bandwidth
+utilisation, throughput, bytes per instruction, sleep power and the
+dynamic-energy coefficients — is constant for a given (phase, powered
+cores, operating point).  The engine evaluates the models once per such
+configuration, keeps the result in a per-engine rate table, and advances
+each quantum with a few multiplications on the cached record.  The
+per-quantum arithmetic is evaluated in the same order as a direct
+evaluation would, so caching changes no output bit.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,8 +189,43 @@ class _PhaseProgress:
         return self.total_remaining <= 1e-6
 
 
+@dataclass(frozen=True, slots=True)
+class _Rates:
+    """Execution rates of one (phase, active cores, operating point).
+
+    Miss rates, CPI, bandwidth contention and the energy coefficients are
+    constant while the phase, the powered cores and the operating point
+    stay fixed, so the engine evaluates the models once per configuration
+    and each quantum is arithmetic on this record.
+    """
+
+    #: Cores executing the phase: the usable cores in parallel, one in serial.
+    cores: int
+    throughput_ips: float
+    utilization: float
+    cpi: float
+    bytes_per_instruction: float
+    #: One core's retirement rate (floored away from zero for division).
+    per_core_ips: float
+    sleep_power_w: float
+    #: Dynamic energy per unit of work relative to the nominal point.
+    energy_scale: float
+    #: Average per-instruction energy of the mix, excluding caches (pJ).
+    instruction_pj: float
+    memory_fraction: float
+    l1_miss_rate: float
+    l2_miss_rate: float
+    #: Fraction of L1 misses that are not coherence misses.
+    coherence_complement: float
+
+
 class ExecutionEngine:
-    """Advances one workload through time on the simulated many-core chip."""
+    """Advances one workload through time on the simulated many-core chip.
+
+    The workload, machine, memory, protocol, scheduler and energy models
+    are fixed for the engine's lifetime; only the phase, the powered cores
+    and the operating point change between quanta.
+    """
 
     def __init__(
         self,
@@ -207,6 +253,9 @@ class ExecutionEngine:
         )
         self._time_s = 0.0
         self._active_cores = 1
+        #: (parallel phase, active cores, operating point) -> rates.  The
+        #: usable cores and the multiplexing slowdown follow from the first two.
+        self._rate_table: dict[tuple[bool, int, OperatingPoint], _Rates] = {}
         self.trace = ExecutionTrace()
 
     # -- queries ---------------------------------------------------------------
@@ -242,6 +291,10 @@ class ExecutionEngine:
 
     def set_active_cores(self, cores: int) -> float:
         """Power ``cores`` cores; returns the thread-migration stall incurred (s)."""
+        try:
+            cores = operator.index(cores)
+        except TypeError:
+            raise TypeError(f"core count must be an integer, got {cores!r}") from None
         if cores < 1:
             raise ValueError("at least one core must stay powered")
         cores = min(cores, self.machine.n_cores)
@@ -263,9 +316,10 @@ class ExecutionEngine:
         returned sample always covers exactly ``dt_s`` of wall-clock time
         (less if the workload finishes within the quantum).
         """
-        if dt_s <= 0:
-            raise ValueError("dt must be positive")
-        if self.done:
+        if not 0.0 < dt_s < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt_s!r}")
+        progress = self._progress
+        if progress.done:
             raise RuntimeError("workload already finished")
         op = operating_point or self.machine.nominal
 
@@ -282,26 +336,31 @@ class ExecutionEngine:
         # Migration stall: cores sit idle (sleep power) until threads arrive.
         stall = self.scheduler.consume_migration(remaining_dt)
         if stall > 0:
-            energy += self._idle_energy(stall, self._active_cores, op)
+            sleep_w = self.power_model.power_w(CoreState.SLEEP, op)
+            energy += sleep_w * (stall * self._active_cores)
             remaining_dt -= stall
 
-        while remaining_dt > _MIN_DT_S and not self.done:
-            step = self._advance_phase(remaining_dt, op)
-            instructions += step.instructions
-            energy += step.energy_j
-            dram_bytes += step.dram_bytes
-            executing_core_seconds += step.executing_core_seconds
-            utilization_peak = max(utilization_peak, step.utilization)
-            cpi_weighted += step.cpi * step.instructions
-            remaining_dt -= step.dt_s
+        done = False
+        while remaining_dt > _MIN_DT_S and not done:
+            step_dt, work, step_energy, executing, rates = self._advance_phase(
+                remaining_dt, op
+            )
+            instructions += work
+            energy += step_energy
+            dram_bytes += work * rates.bytes_per_instruction
+            executing_core_seconds += executing
+            utilization_peak = max(utilization_peak, rates.utilization)
+            cpi_weighted += rates.cpi * work
+            remaining_dt -= step_dt
+            done = progress.done
 
-        consumed = dt_s - remaining_dt if self.done else dt_s
+        consumed = dt_s - remaining_dt if done else dt_s
         # If the workload finished early the idle tail is not simulated: the
         # caller decides what happens next (cool down, next task, ...).
         self._time_s += consumed
         total_core_seconds = self._active_cores * consumed
         sleeping = max(0.0, total_core_seconds - executing_core_seconds)
-        if self.done:
+        if done:
             self.scheduler.finish_all()
 
         sample = QuantumSample(
@@ -317,7 +376,7 @@ class ExecutionEngine:
             cpi=(cpi_weighted / instructions) if instructions > 0 else 0.0,
             executing_core_seconds=executing_core_seconds,
             sleeping_core_seconds=sleeping,
-            finished=self.done,
+            finished=done,
         )
         self.trace.append(sample)
         return sample
@@ -334,37 +393,29 @@ class ExecutionEngine:
             return 1
         return self.workload.parallel.usable_cores(self._active_cores)
 
-    @dataclass(frozen=True)
-    class _StepOutcome:
-        dt_s: float
-        instructions: float
-        energy_j: float
-        dram_bytes: float
-        executing_core_seconds: float
-        utilization: float
-        cpi: float
+    def _advance_phase(
+        self, dt_s: float, op: OperatingPoint
+    ) -> tuple[float, float, float, float, _Rates]:
+        """Advance within the current phase for at most ``dt_s`` seconds.
 
-    def _advance_phase(self, dt_s: float, op: OperatingPoint) -> "_StepOutcome":
-        """Advance within the current phase for at most ``dt_s`` seconds."""
-        phase = self._current_phase()
-        usable = self._usable_cores()
-        parallel_phase = phase == "parallel"
+        Returns the time covered, the instructions retired, the energy, the
+        busy core-seconds and the rates the step ran at.
+        """
+        progress = self._progress
+        parallel_phase = progress.serial_remaining <= 1e-6
+        key = (parallel_phase, self._active_cores, op)
+        rates = self._rate_table.get(key)
+        if rates is None:
+            rates = self._rate_table[key] = self._rates(parallel_phase, op)
 
-        if parallel_phase and usable > 1:
-            self._charge_sync_overhead(usable)
+        if parallel_phase:
+            if rates.cores > 1:
+                self._charge_sync_overhead(rates.cores)
+            remaining_work = progress.parallel_remaining + progress.sync_remaining
+        else:
+            remaining_work = progress.serial_remaining
 
-        remaining_work = (
-            self._progress.serial_remaining
-            if not parallel_phase
-            else self._progress.parallel_remaining + self._progress.sync_remaining
-        )
-
-        throughput, utilization, cpi, bytes_per_instruction = self._throughput(
-            usable if parallel_phase else 1, op, parallel_phase
-        )
-        if throughput <= 0:
-            raise RuntimeError("execution throughput collapsed to zero")
-
+        throughput = rates.throughput_ips
         time_to_finish = remaining_work / throughput
         step_dt = min(dt_s, time_to_finish)
         work_done = throughput * step_dt
@@ -376,25 +427,14 @@ class ExecutionEngine:
         # imbalance and multiplexing lower the aggregate rate below
         # `usable * per_core_rate`, busy time is less than `usable * step_dt`
         # and the difference is spent asleep (PAUSE) at 10% power.
-        cores_in_phase = usable if parallel_phase else 1
-        per_core_rate = op.frequency_hz / cpi
         executing_core_seconds = min(
-            work_done / max(per_core_rate, 1e-30), cores_in_phase * step_dt
+            work_done / rates.per_core_ips, rates.cores * step_dt
         )
 
-        energy = self._dynamic_energy(work_done, op, usable if parallel_phase else 1)
+        energy = self._dynamic_energy(work_done, rates)
         idle_core_seconds = self._active_cores * step_dt - executing_core_seconds
-        energy += self._sleep_energy(max(0.0, idle_core_seconds), op)
-
-        return self._StepOutcome(
-            dt_s=step_dt,
-            instructions=work_done,
-            energy_j=energy,
-            dram_bytes=work_done * bytes_per_instruction,
-            executing_core_seconds=executing_core_seconds,
-            utilization=utilization,
-            cpi=cpi,
-        )
+        energy += rates.sleep_power_w * max(0.0, idle_core_seconds)
+        return step_dt, work_done, energy, executing_core_seconds, rates
 
     def _charge_sync_overhead(self, usable: int) -> None:
         """Add barrier/task-queue instructions for a new parallel configuration."""
@@ -421,65 +461,77 @@ class ExecutionEngine:
             0.0, self._progress.parallel_remaining - work
         )
 
-    def _throughput(
-        self, cores: int, op: OperatingPoint, parallel_phase: bool
-    ) -> tuple[float, float, float, float]:
-        """Aggregate instruction throughput, bandwidth utilisation, CPI, bytes/inst."""
+    def _rates(self, parallel_phase: bool, op: OperatingPoint) -> _Rates:
+        """Evaluate the cache, memory, timing and energy models for one configuration."""
         workload = self.workload
+        mix = workload.instruction_mix
         memory_behaviour = workload.memory
         frequency = op.frequency_hz
-
-        def breakdown(utilization: float):
-            return self.timing.effective_breakdown(
-                mix=workload.instruction_mix,
-                intrinsic_l1_miss=memory_behaviour.l1_miss_rate,
-                intrinsic_l2_miss=memory_behaviour.l2_miss_rate,
-                working_set_bytes=memory_behaviour.working_set_bytes,
-                sharers=cores,
-                frequency_hz=frequency,
-                memory=self.memory,
-                utilization=utilization,
-                protocol=self.protocol,
-                base_coherence_fraction=memory_behaviour.coherence_miss_fraction,
-            )
-
-        coherence_fraction = self.protocol.effective_coherence_fraction(
-            memory_behaviour.coherence_miss_fraction, cores
+        cores = (
+            workload.parallel.usable_cores(self._active_cores) if parallel_phase else 1
         )
+
         miss_rates = self.timing.hierarchy.effective_miss_rates(
             memory_behaviour.l1_miss_rate,
             memory_behaviour.l2_miss_rate,
             memory_behaviour.working_set_bytes,
             sharers=cores,
         )
+        coherence_fraction = self.protocol.effective_coherence_fraction(
+            memory_behaviour.coherence_miss_fraction, cores
+        )
+        coherence_latency = self.protocol.coherence_miss_cycles(cores)
         bytes_per_instruction = (
-            workload.instruction_mix.memory_fraction
+            mix.memory_fraction
             * miss_rates.l1_miss_rate
             * (1.0 - coherence_fraction)
             * miss_rates.l2_miss_rate
             * memory_behaviour.bytes_per_l2_miss
         )
 
+        def cpi_at(utilization: float) -> float:
+            return self.timing.cycles_breakdown(
+                mix=mix,
+                miss_rates=miss_rates,
+                dram_latency_cycles=self.memory.effective_latency_cycles(
+                    frequency, utilization
+                ),
+                coherence_fraction=coherence_fraction,
+                coherence_latency_cycles=coherence_latency,
+            ).total_cpi
+
         # First pass with uncontended latency, then refine once with the
         # utilisation implied by the first-pass demand (a single fixed-point
         # iteration keeps the model deterministic and fast).
-        first = breakdown(0.0)
-        per_core = frequency / first.total_cpi
-        aggregate = self._aggregate_rate(per_core, cores, parallel_phase)
-        demand = aggregate * bytes_per_instruction
-        share = self.memory.arbitrate(demand)
+        aggregate = self._aggregate_rate(frequency / cpi_at(0.0), cores, parallel_phase)
+        share = self.memory.arbitrate(aggregate * bytes_per_instruction)
 
-        refined = breakdown(share.utilization)
-        per_core = frequency / refined.total_cpi
-        aggregate = self._aggregate_rate(per_core, cores, parallel_phase)
+        cpi = cpi_at(share.utilization)
+        aggregate = self._aggregate_rate(frequency / cpi, cores, parallel_phase)
         if bytes_per_instruction > 0:
             bandwidth_cap = (
                 self.memory.config.peak_bandwidth_bytes_s / bytes_per_instruction
             )
             aggregate = min(aggregate, bandwidth_cap)
-        final_demand = aggregate * bytes_per_instruction
-        final_share = self.memory.arbitrate(final_demand)
-        return aggregate, final_share.utilization, refined.total_cpi, bytes_per_instruction
+        if aggregate <= 0:
+            raise RuntimeError("execution throughput collapsed to zero")
+        final_share = self.memory.arbitrate(aggregate * bytes_per_instruction)
+
+        return _Rates(
+            cores=cores,
+            throughput_ips=aggregate,
+            utilization=final_share.utilization,
+            cpi=cpi,
+            bytes_per_instruction=bytes_per_instruction,
+            per_core_ips=max(frequency / cpi, 1e-30),
+            sleep_power_w=self.power_model.power_w(CoreState.SLEEP, op),
+            energy_scale=op.energy_per_work_scale(self.machine.nominal),
+            instruction_pj=self.energy_model.average_instruction_pj(mix),
+            memory_fraction=mix.memory_fraction,
+            l1_miss_rate=miss_rates.l1_miss_rate,
+            l2_miss_rate=miss_rates.l2_miss_rate,
+            coherence_complement=1.0 - memory_behaviour.coherence_miss_fraction,
+        )
 
     def _aggregate_rate(
         self, per_core_rate: float, cores: int, parallel_phase: bool
@@ -491,37 +543,16 @@ class ExecutionEngine:
         imbalance = self.workload.parallel.imbalance
         return per_core_rate * cores / imbalance
 
-    def _dynamic_energy(self, instructions: float, op: OperatingPoint, cores: int) -> float:
-        """Dynamic energy of retiring ``instructions`` at operating point ``op``."""
-        workload = self.workload
-        mix = workload.instruction_mix
-        scale = op.energy_per_work_scale(self.machine.nominal)
-
-        base = self.energy_model.instructions_energy_j(instructions, mix)
-        memory_behaviour = workload.memory
-        miss_rates = self.timing.hierarchy.effective_miss_rates(
-            memory_behaviour.l1_miss_rate,
-            memory_behaviour.l2_miss_rate,
-            memory_behaviour.working_set_bytes,
-            sharers=cores,
-        )
-        memory_instructions = instructions * mix.memory_fraction
-        l1_hits = memory_instructions * (1.0 - miss_rates.l1_miss_rate)
-        l1_misses = memory_instructions * miss_rates.l1_miss_rate
-        dram = l1_misses * miss_rates.l2_miss_rate * (
-            1.0 - memory_behaviour.coherence_miss_fraction
-        )
+    def _dynamic_energy(self, instructions: float, rates: _Rates) -> float:
+        """Dynamic energy of retiring ``instructions`` at the given rates."""
+        base = instructions * rates.instruction_pj * 1e-12
+        memory_instructions = instructions * rates.memory_fraction
+        l1_hits = memory_instructions * (1.0 - rates.l1_miss_rate)
+        l1_misses = memory_instructions * rates.l1_miss_rate
+        dram = l1_misses * rates.l2_miss_rate * rates.coherence_complement
         l2_hits = l1_misses - dram
         hierarchy_energy = self.energy_model.memory_energy_j(l1_hits, l2_hits, dram)
-        return (base + hierarchy_energy) * scale
-
-    def _sleep_energy(self, core_seconds: float, op: OperatingPoint) -> float:
-        """Energy of cores sleeping (PAUSE) for the given core-seconds."""
-        return self.power_model.power_w(CoreState.SLEEP, op) * core_seconds
-
-    def _idle_energy(self, dt_s: float, cores: int, op: OperatingPoint) -> float:
-        """Energy of all powered cores idling during a stall."""
-        return self._sleep_energy(dt_s * cores, op)
+        return (base + hierarchy_energy) * rates.energy_scale
 
 
 class ManyCoreSimulator:
@@ -550,8 +581,12 @@ class ManyCoreSimulator:
             machine = self.machine.with_cores(cores)
         else:
             machine = self.machine
-        if quantum_s <= 0:
-            raise ValueError("quantum must be positive")
+        if not 0.0 < quantum_s < math.inf:
+            raise ValueError(f"quantum must be positive and finite, got {quantum_s!r}")
+        if not 0.0 < max_time_s < math.inf:
+            raise ValueError(
+                f"maximum simulated time must be positive and finite, got {max_time_s!r}"
+            )
         op = operating_point or machine.nominal
 
         engine = ExecutionEngine(workload, machine=machine, n_threads=cores)

@@ -20,6 +20,8 @@ Typical use::
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.arch.simulator import ExecutionEngine
@@ -51,8 +53,10 @@ class SprintSimulation:
         quantum_s: float | None = None,
     ) -> SprintResult:
         """Execute one workload under the given mode and return the result."""
-        if max_time_s <= 0:
-            raise ValueError("maximum simulated time must be positive")
+        if not 0.0 < max_time_s < math.inf:
+            raise ValueError(
+                f"maximum simulated time must be positive and finite, got {max_time_s!r}"
+            )
         config = self.config
         if quantum_s is not None:
             config = config.with_quantum(quantum_s)

@@ -19,6 +19,7 @@ arithmetic is:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -30,10 +31,12 @@ class OperatingPoint:
     voltage_v: float
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
-        if self.voltage_v <= 0:
-            raise ValueError("voltage must be positive")
+        if not 0.0 < self.frequency_hz < math.inf:
+            raise ValueError(
+                f"frequency must be positive and finite, got {self.frequency_hz!r}"
+            )
+        if not 0.0 < self.voltage_v < math.inf:
+            raise ValueError(f"voltage must be positive and finite, got {self.voltage_v!r}")
 
     def dynamic_power_scale(self, nominal: "OperatingPoint") -> float:
         """Dynamic power relative to ``nominal``: (f/f0) * (V/V0)^2."""

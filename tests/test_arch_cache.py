@@ -125,6 +125,12 @@ class TestCacheHierarchy:
         with pytest.raises(ValueError):
             self.hierarchy.effective_miss_rates(0.05, 0.5, 1024, sharers=0)
 
+    @pytest.mark.parametrize("working_set", [float("nan"), float("inf")])
+    def test_rejects_non_finite_working_set(self, working_set):
+        # NaN used to slip through every comparison and return the floor rates.
+        with pytest.raises(ValueError, match="finite"):
+            self.hierarchy.effective_miss_rates(0.05, 0.5, working_set, sharers=1)
+
     @given(
         l1=st.floats(min_value=0.0, max_value=1.0),
         l2=st.floats(min_value=0.0, max_value=1.0),

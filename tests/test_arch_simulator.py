@@ -1,11 +1,14 @@
 """Tests for the quantum-based execution engine and many-core simulator."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.machine import PAPER_MACHINE
 from repro.arch.simulator import ExecutionEngine, ExecutionTrace, ManyCoreSimulator
 from repro.energy.dvfs import PAPER_DVFS
+from repro.energy.instruction import DEFAULT_MIX
 from repro.workloads.descriptor import (
     MemoryBehaviour,
     ParallelBehaviour,
@@ -116,6 +119,112 @@ class TestExecutionEngine:
         )
         # And the boosted core retires more work per unit time.
         assert b.instructions_retired > 1.5 * a.instructions_retired
+
+
+class TestNonFiniteInput:
+    """Every public entry point of the engine rejects NaN and infinity."""
+
+    def test_advance_rejects_nan(self):
+        engine = ExecutionEngine(make_workload(), n_threads=1)
+        with pytest.raises(ValueError, match="finite"):
+            engine.advance(float("nan"))
+        assert engine.time_s == 0.0 and engine.trace.empty
+
+    def test_advance_rejects_infinity(self):
+        engine = ExecutionEngine(make_workload(), n_threads=1)
+        with pytest.raises(ValueError, match="finite"):
+            engine.advance(float("inf"))
+        assert engine.time_s == 0.0 and engine.trace.empty
+
+    def test_run_rejects_nan_quantum(self):
+        with pytest.raises(ValueError, match="finite"):
+            ManyCoreSimulator().run(make_workload(), cores=1, quantum_s=float("nan"))
+
+    def test_run_rejects_nan_max_time(self):
+        with pytest.raises(ValueError, match="finite"):
+            ManyCoreSimulator().run(make_workload(), cores=1, max_time_s=float("nan"))
+
+    def test_set_active_cores_rejects_fractional_count(self):
+        engine = ExecutionEngine(make_workload(), n_threads=4)
+        with pytest.raises(TypeError, match="integer"):
+            engine.set_active_cores(2.5)
+        assert engine.active_cores == 1
+
+
+class TestClosedFormOracle:
+    """Below the queueing knee the engine's run time has a closed form.
+
+    The expected CPI is written out by hand from the descriptor and the
+    paper machine (L2 hit 20 cycles, 60 ns DRAM, directory lookup 20 +
+    forward 25 + 2 cycles per extra sharer), not taken from the engine's
+    own models.  A working set of 64 MB overflows every cache slice, so the
+    effective miss rates equal the intrinsic ones.
+    """
+
+    L1_MISS = 0.02
+    L2_MISS = 0.3
+    COHERENCE = 0.05
+    FREQUENCY = PAPER_MACHINE.nominal.frequency_hz
+
+    def workload(self, parallel_fraction: float) -> WorkloadDescriptor:
+        return WorkloadDescriptor(
+            name="oracle",
+            total_instructions=4e8,
+            memory=MemoryBehaviour(
+                working_set_bytes=64 * 1024 * 1024,
+                l1_miss_rate=self.L1_MISS,
+                l2_miss_rate=self.L2_MISS,
+                coherence_miss_fraction=self.COHERENCE,
+            ),
+            parallel=ParallelBehaviour(
+                parallel_fraction=parallel_fraction,
+                imbalance=1.05,
+                sync_instructions_per_core=10_000,
+            ),
+        )
+
+    def cpi(self, sharers: int) -> float:
+        memory_fraction = DEFAULT_MIX.load + DEFAULT_MIX.store
+        l1_misses = memory_fraction * self.L1_MISS
+        if sharers == 1:
+            coherence, coherence_cycles = 0.0, 0.0
+        else:
+            coherence = self.COHERENCE * (1.0 + math.log2(sharers) / 4.0)
+            coherence_cycles = 20.0 + 25.0 + 2.0 * (sharers - 1)
+        dram_cycles = 60e-9 * self.FREQUENCY
+        demand = l1_misses * (1.0 - coherence)
+        return (
+            1.0
+            + demand * 20.0
+            + demand * self.L2_MISS * dram_cycles
+            + l1_misses * coherence * coherence_cycles
+        )
+
+    def test_serial_workload_on_one_core(self):
+        workload = self.workload(parallel_fraction=0.0)
+        # Four threads multiplexed on a one-core machine (so no migration
+        # stall) pay 3 x 0.5% context switching.
+        engine = ExecutionEngine(workload, machine=PAPER_MACHINE.with_cores(1), n_threads=4)
+        assert engine.set_active_cores(1) == 0.0
+        slowdown = 1.0 + 3 * 0.005
+        while not engine.done:
+            sample = engine.advance(1e-3)
+            assert sample.bandwidth_utilization < PAPER_MACHINE.memory.queueing_knee
+        expected = workload.total_instructions * self.cpi(1) * slowdown / self.FREQUENCY
+        assert engine.time_s == pytest.approx(expected, rel=1e-9)
+        assert engine.trace.duration_s == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("cores", [2, 8, 16])
+    def test_parallel_workload_on_n_cores(self, cores):
+        workload = self.workload(parallel_fraction=1.0)
+        result = ManyCoreSimulator().run(workload, cores=cores)
+        assert max(s.bandwidth_utilization for s in result.trace) < (
+            PAPER_MACHINE.memory.queueing_knee
+        )
+        parallel = workload.parallel
+        work = workload.total_instructions + cores * parallel.sync_instructions_per_core
+        expected = work * parallel.imbalance * self.cpi(cores) / (cores * self.FREQUENCY)
+        assert result.total_time_s == pytest.approx(expected, rel=1e-9)
 
 
 class TestExecutionTrace:

@@ -160,6 +160,11 @@ class TestSimulationUtilities:
         with pytest.raises(RuntimeError):
             paper_sim.run(small_workload(instructions=1e12), max_time_s=0.01)
 
+    def test_nan_max_time_is_rejected(self, paper_sim, toy):
+        # A NaN guard compares False forever and would disable the runaway check.
+        with pytest.raises(ValueError, match="finite"):
+            paper_sim.run(toy, max_time_s=float("nan"))
+
 
 class TestPaperWorkloadsEndToEnd:
     def test_sobel_sprint_matches_paper_shape(self, paper_sim):

@@ -98,6 +98,14 @@ class TestOperatingPoint:
         with pytest.raises(ValueError):
             OperatingPoint(1e9, 0.0)
 
+    @pytest.mark.parametrize(
+        "frequency, voltage",
+        [(float("nan"), 1.0), (float("inf"), 1.0), (1e9, float("nan")), (1e9, float("inf"))],
+    )
+    def test_rejects_non_finite(self, frequency, voltage):
+        with pytest.raises(ValueError, match="finite"):
+            OperatingPoint(frequency, voltage)
+
 
 class TestDvfsModel:
     def test_sixteen_x_headroom_gives_about_2_5x_boost(self):

@@ -21,18 +21,19 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.traffic import (
-    DISPATCH_POLICIES,
     DiurnalArrivals,
     FixedService,
     FleetSimulator,
     GammaService,
     GovernorSpec,
     PoissonArrivals,
+    Scenario,
     SweepSpec,
     TopologySpec,
     generate_requests,
     run_sweep,
 )
+from repro.traffic.engine import DISPATCH_POLICIES
 
 FLEET_REQUESTS = 20_000
 FLEET_DEVICES = 16
@@ -41,12 +42,17 @@ LARGE_FLEET_DEVICES = 256
 LARGE_FLEET_REQUESTS = 4_000
 
 SWEEP_SPEC = SweepSpec(
-    policies=("round_robin", "least_loaded", "thermal_aware"),
-    arrival_rates_hz=(0.05, 0.1, 0.2, 0.3),
-    fleet_sizes=(1, 2, 4),
-    n_requests=400,
-    service_cv=0.5,
-    slo_s=2.0,
+    Scenario(
+        arrivals=PoissonArrivals(0.05),
+        service=GammaService(5.0, cv=0.5),
+        n_requests=400,
+        slo_s=2.0,
+    ),
+    axes=(
+        ("policy", ("round_robin", "least_loaded", "thermal_aware")),
+        ("arrivals", tuple(PoissonArrivals(r) for r in (0.05, 0.1, 0.2, 0.3))),
+        ("n_devices", (1, 2, 4)),
+    ),
     base_seed=5,
 )
 SWEEP_WORKER_COUNTS = (1, 2, 4)
@@ -266,14 +272,14 @@ ENGINE_CURVE_RATE_HZ = 50.0
 
 
 def test_bench_engine_throughput_curve(benchmark, bench_scale):
-    """Requests/second of exact vs batched vs fluid across stream sizes.
+    """Requests/second of exact vs batched across stream sizes.
 
     One 256-device round-robin fleet serves Poisson/fixed-demand streams
     of 1e5, 1e6, and 1e7 requests with ``keep_samples=False`` (flat
     memory).  The exact event loop is measured once at the smallest size
     (its per-request cost is size-independent; simulating 1e7 requests
     scalar-wise would dominate the whole suite), the batched vector core
-    and the fluid limit at every size.  The full curve lands in
+    at every size.  The full curve lands in
     ``extra_info`` for the ``BENCH_ci.json`` artifact, and the gate
     asserts the batched path beats the exact loop — the fast path must
     never regress into a slow path.
@@ -283,32 +289,29 @@ def test_bench_engine_throughput_curve(benchmark, bench_scale):
     arrivals = PoissonArrivals(ENGINE_CURVE_RATE_HZ)
     service = FixedService(5.0)
 
-    def fleet(mode: str, engine: str) -> FleetSimulator:
+    def fleet(engine: str) -> FleetSimulator:
         return FleetSimulator(
             config,
             ENGINE_CURVE_DEVICES,
             policy="round_robin",
-            mode=mode,
             keep_samples=False,
             telemetry=False,
             engine=engine,
         )
 
-    def run(mode: str, engine: str, n: int):
-        return fleet(mode, engine).run_stream(
-            arrivals, service, n, request_seed=9, run_seed=9
-        )
+    def run(engine: str, n: int):
+        return fleet(engine).run_stream(arrivals, service, n, request_seed=9, run_seed=9)
 
     # Benchmark subject: the batched vector core at the smallest size
     # (each curve point below is timed manually into extra_info).
     result = benchmark.pedantic(
-        run, args=("immediate", "batched", scales[0]), rounds=1, iterations=1
+        run, args=("batched", scales[0]), rounds=1, iterations=1
     )
     assert result.served_count == scales[0]
     batched_small_s = benchmark.stats.stats.mean
 
     started = time.perf_counter()
-    exact_result = run("immediate", "exact", scales[0])
+    exact_result = run("exact", scales[0])
     exact_s = time.perf_counter() - started
     assert exact_result.served_count == scales[0]
 
@@ -318,12 +321,8 @@ def test_bench_engine_throughput_curve(benchmark, bench_scale):
     }
     for n in scales[1:]:
         started = time.perf_counter()
-        assert run("immediate", "batched", n).served_count == n
+        assert run("batched", n).served_count == n
         curve[f"batched_rps_{n}"] = n / (time.perf_counter() - started)
-    for n in scales:
-        started = time.perf_counter()
-        assert run("fluid", "exact", n).served_count == n
-        curve[f"fluid_rps_{n}"] = n / (time.perf_counter() - started)
 
     speedup = exact_s / batched_small_s
     benchmark.extra_info["devices"] = ENGINE_CURVE_DEVICES
@@ -440,7 +439,11 @@ def test_bench_sweep_worker_scaling(benchmark, bench_scale):
     count produced identical results.
     """
     config = SystemConfig.paper_default()
-    spec = replace(SWEEP_SPEC, n_requests=bench_scale(SWEEP_SPEC.n_requests, floor=50))
+    base = SWEEP_SPEC.base
+    spec = replace(
+        SWEEP_SPEC,
+        base=base.with_options(n_requests=bench_scale(base.n_requests, floor=50)),
+    )
 
     serial = benchmark.pedantic(
         run_sweep, args=(spec, config), kwargs={"workers": 1},

@@ -1,7 +1,7 @@
-"""Engine execution modes: exact events, vectorized blocks, fluid limit.
+"""Engine execution modes: exact events and vectorized blocks.
 
-The serving engine answers the same question at three fidelities, and this
-example runs all three side by side:
+The serving engine answers the same question on two execution paths, and
+this example runs both side by side:
 
 1. **Bit-identity**: the ``batched`` execution mode is not an
    approximation — on its supported envelope (immediate round-robin or
@@ -11,15 +11,9 @@ example runs all three side by side:
 2. **Honest fallback**: outside that envelope the vector core does not
    guess — the engine reports *why* (``fast_path_reason``) and takes the
    exact event loop, so ``engine="batched"`` is always safe to request.
-3. **Throughput curve**: requests/second of exact vs batched vs fluid as
-   the stream grows, on a 256-device fleet with flat memory
+3. **Throughput curve**: requests/second of exact vs batched as the
+   stream grows, on a 256-device fleet with flat memory
    (``keep_samples=False``) — the fast path's reason to exist.
-4. **Calibrated fluid limit**: ``mode="fluid"`` integrates a
-   deterministic mean-field model instead of simulating requests.  Its
-   accuracy contract is *measured* here with CRN-paired replications
-   against the exact engine: within its bands on the light-load reference
-   regime, and honestly out of contract on waiting time under heavy load
-   (a deterministic fluid has no stochastic queueing).
 
 Run with::
 
@@ -34,14 +28,11 @@ import numpy as np
 
 from repro import SystemConfig
 from repro.traffic import (
-    FLUID_ACCURACY_CONTRACT,
     FixedService,
     FleetSimulator,
     GammaService,
     GovernorSpec,
     PoissonArrivals,
-    Scenario,
-    compare,
     generate_requests,
 )
 
@@ -49,9 +40,6 @@ CURVE_DEVICES = 256
 CURVE_SIZES = (20_000, 100_000, 500_000)
 CURVE_RATE_HZ = 50.0
 IDENTITY_REQUESTS = 5_000
-CONTRACT_REQUESTS = 1_000
-REPLICATIONS = 8
-WORKERS = 1
 
 
 def bit_identity(config: SystemConfig) -> None:
@@ -99,17 +87,16 @@ def honest_fallback(config: SystemConfig) -> None:
 
 
 def throughput_curve(config: SystemConfig) -> None:
-    """Requests/second of each mode as the stream grows."""
+    """Requests/second of each execution mode as the stream grows."""
     print(f"-- throughput curve: {CURVE_DEVICES} devices, flat memory --")
     arrivals = PoissonArrivals(CURVE_RATE_HZ)
     service = FixedService(5.0)
 
-    def measure(mode: str, engine: str, n: int) -> float:
+    def measure(engine: str, n: int) -> float:
         fleet = FleetSimulator(
             config,
             CURVE_DEVICES,
             policy="round_robin",
-            mode=mode,
             keep_samples=False,
             telemetry=False,
             engine=engine,
@@ -120,72 +107,15 @@ def throughput_curve(config: SystemConfig) -> None:
         assert result.served_count == n
         return n / elapsed
 
-    print(f"{'requests':>10} {'exact':>12} {'batched':>12} {'fluid':>12} {'speedup':>9}")
+    print(f"{'requests':>10} {'exact':>12} {'batched':>12} {'speedup':>9}")
     for n in CURVE_SIZES:
-        exact_rps = measure("immediate", "exact", n)
-        batched_rps = measure("immediate", "batched", n)
-        fluid_rps = measure("fluid", "exact", n)
+        exact_rps = measure("exact", n)
+        batched_rps = measure("batched", n)
         print(
             f"{n:>10} {exact_rps:>10.0f}/s {batched_rps:>10.0f}/s "
-            f"{fluid_rps:>10.0f}/s {batched_rps / exact_rps:>8.1f}x"
+            f"{batched_rps / exact_rps:>8.1f}x"
         )
     print("(requests simulated per wall-second; speedup is batched vs exact)\n")
-
-
-def fluid_accuracy(config: SystemConfig) -> None:
-    """Measure the fluid mode's accuracy contract against the exact engine."""
-    print("-- fluid accuracy: CRN-paired deltas vs the exact engine --")
-    reference = Scenario(
-        arrivals=PoissonArrivals(1.0),
-        service=GammaService(2.5, cv=0.7),
-        n_requests=CONTRACT_REQUESTS,
-        n_devices=16,
-        policy="round_robin",
-    )
-    duel = compare(
-        reference,
-        reference.with_options(mode="fluid"),
-        n_replications=REPLICATIONS,
-        base_seed=42,
-        config=config,
-        workers=WORKERS,
-    )
-    print("  reference regime (per-device utilisation ~0.16):")
-    print(f"  {'metric':>20} {'exact':>9} {'fluid Δ':>9} {'band':>6}  verdict")
-    for metric, band in FLUID_ACCURACY_CONTRACT.items():
-        delta = duel.delta(metric)
-        exact_mean = duel.baseline.estimate(metric).mean
-        allowed = band * abs(exact_mean) + delta.half_width
-        verdict = "within contract" if abs(delta.mean_delta) <= allowed else "OUT"
-        print(
-            f"  {metric:>20} {exact_mean:9.4f} {delta.mean_delta:+9.4f} "
-            f"{band:>5.0%}  {verdict}"
-        )
-
-    loaded = Scenario(
-        arrivals=PoissonArrivals(1.7),
-        service=GammaService(4.0, cv=1.0),
-        n_requests=CONTRACT_REQUESTS,
-        n_devices=8,
-        policy="round_robin",
-    )
-    heavy = compare(
-        loaded,
-        loaded.with_options(mode="fluid"),
-        n_replications=REPLICATIONS,
-        base_seed=7,
-        config=config,
-        workers=WORKERS,
-    )
-    tput = heavy.delta("throughput_rps")
-    wait = heavy.delta("mean_latency_s")
-    wait_exact = heavy.baseline.estimate("mean_latency_s").mean
-    print("  heavy load (utilisation ~0.85, outside the reference regime):")
-    print(
-        f"  throughput still tracks (Δ {tput.mean_delta:+.3f} rps); waiting is "
-        f"understated by design (Δ {wait.mean_delta:+.1f}s of {wait_exact:.1f}s) —"
-    )
-    print("  no stochastic queueing in a deterministic fluid; use exact/batched there\n")
 
 
 def main() -> None:
@@ -193,10 +123,9 @@ def main() -> None:
     bit_identity(config)
     honest_fallback(config)
     throughput_curve(config)
-    fluid_accuracy(config)
     print(
-        "same physics, three costs: exact events for fidelity, vectorized "
-        "blocks for scale, the fluid limit for capacity planning"
+        "same physics, two costs: exact events for any configuration, "
+        "vectorized blocks for scale where the envelope allows"
     )
 
 

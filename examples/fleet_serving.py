@@ -45,6 +45,7 @@ from repro.traffic import (
     FixedService,
     FleetSimulator,
     GammaService,
+    MMPPArrivals,
     PoissonArrivals,
     Scenario,
     SweepSpec,
@@ -175,16 +176,19 @@ def latency_error_bars(config: SystemConfig) -> None:
 def dispatch_policy_sweep(config: SystemConfig) -> None:
     """Policy × fleet-size grid under bursty on-off traffic, run in parallel."""
     print("-- dispatch policies under bursty traffic (parallel sweep) --")
-    spec = SweepSpec(
-        policies=("round_robin", "least_loaded", "thermal_aware"),
-        arrival_rates_hz=(0.15,),
-        fleet_sizes=(2, 4),
+    base = Scenario(
+        arrivals=MMPPArrivals.bursty_at_rate(0.15, burst_factor=5.0),
+        service=FixedService(TASK_SUSTAINED_S),
         n_requests=REQUESTS,
-        arrival_kind="bursty",
-        burst_factor=5.0,
-        service_mean_s=TASK_SUSTAINED_S,
         sprint_speedup=SPRINT_SPEEDUP,
         slo_s=SLO_S,
+    )
+    spec = SweepSpec(
+        base,
+        axes=(
+            ("policy", ("round_robin", "least_loaded", "thermal_aware")),
+            ("n_devices", (2, 4)),
+        ),
         base_seed=3,
     )
     result = run_sweep(spec, config, workers=SWEEP_WORKERS)
@@ -192,7 +196,7 @@ def dispatch_policy_sweep(config: SystemConfig) -> None:
     best = result.best_cell("p99_latency_s")
     print(
         f"\nbest p99: {best.summary.p99_latency_s:.2f}s with "
-        f"{best.cell.policy} on {best.cell.n_devices} devices"
+        f"{best.cell.scenario.policy} on {best.cell.scenario.n_devices} devices"
     )
 
 

@@ -181,28 +181,26 @@ def governor_sweep(config: SystemConfig) -> None:
     """The governor axis in the scenario sweep, fanned across processes."""
     print("-- governor grid (parallel sweep over the governors axis) --")
     excess_w = config.sprint_power_w - config.sustainable_power_w
-    spec = SweepSpec(
-        policies=("least_loaded",),
-        arrival_rates_hz=(ARRIVAL_RATE_HZ,),
-        fleet_sizes=(FLEET_SIZE,),
+    base = Scenario(
+        arrivals=PoissonArrivals(ARRIVAL_RATE_HZ),
+        service=GammaService(mean_s=TASK_SUSTAINED_S, cv=SERVICE_CV),
         n_requests=REQUESTS,
-        service_mean_s=TASK_SUSTAINED_S,
-        service_cv=SERVICE_CV,
+        n_devices=FLEET_SIZE,
         slo_s=SLO_S,
-        base_seed=11,
-        governors=(
-            GovernorSpec.unlimited(),
-            GovernorSpec.greedy(TRIP_SPRINTS),
-            GovernorSpec.token_bucket(TOKEN_RATE_HZ, 30),
-            GovernorSpec.cooperative(TRIP_SPRINTS * excess_w),
-        ),
     )
+    governors = (
+        GovernorSpec.unlimited(),
+        GovernorSpec.greedy(TRIP_SPRINTS),
+        GovernorSpec.token_bucket(TOKEN_RATE_HZ, 30),
+        GovernorSpec.cooperative(TRIP_SPRINTS * excess_w),
+    )
+    spec = SweepSpec(base, axes=(("governor", governors),), base_seed=11)
     result = run_sweep(spec, config, workers=SWEEP_WORKERS)
     print(result.format_table())
     best = result.best_cell("p99_latency_s")
     print(
         f"\nbest p99 under a budget: {best.summary.p99_latency_s:.2f}s with "
-        f"{best.cell.governor.label}"
+        f"{best.cell.scenario.governor.label}"
     )
 
 

@@ -36,6 +36,7 @@ from repro.traffic import (
     FleetSimulator,
     GammaService,
     MMPPArrivals,
+    Scenario,
     SprintDevice,
     SweepSpec,
     generate_requests,
@@ -178,17 +179,19 @@ def p99_misprediction_study(config: SystemConfig) -> None:
 def thermal_grid_sweep(config: SystemConfig) -> None:
     """The thermals axis in the scenario sweep, fanned across processes."""
     print("-- thermal grid (parallel sweep over the thermals axis) --")
-    spec = SweepSpec(
-        policies=("thermal_aware",),
-        arrival_rates_hz=ARRIVAL_RATES_HZ,
-        fleet_sizes=(FLEET_SIZE,),
+    base = Scenario(
+        arrivals=MMPPArrivals.bursty_at_rate(ARRIVAL_RATES_HZ[0], BURST_FACTOR),
+        service=GammaService(mean_s=TASK_SUSTAINED_S, cv=SERVICE_CV),
         n_requests=REQUESTS,
-        arrival_kind="bursty",
-        burst_factor=BURST_FACTOR,
-        service_mean_s=TASK_SUSTAINED_S,
-        service_cv=SERVICE_CV,
-        thermals=tuple(ThermalSpec(backend=name) for name in THERMAL_BACKENDS),
-        base_seed=13,
+        n_devices=FLEET_SIZE,
+        policy="thermal_aware",
+    )
+    arrivals = tuple(
+        MMPPArrivals.bursty_at_rate(rate, BURST_FACTOR) for rate in ARRIVAL_RATES_HZ
+    )
+    thermals = tuple(ThermalSpec(backend=name) for name in THERMAL_BACKENDS)
+    spec = SweepSpec(
+        base, axes=(("arrivals", arrivals), ("thermal", thermals)), base_seed=13
     )
     result = run_sweep(spec, config, workers=SWEEP_WORKERS)
     print(result.format_table())
@@ -198,8 +201,8 @@ def thermal_grid_sweep(config: SystemConfig) -> None:
     )
     print(
         f"\nworst tail on the grid: {worst.summary.p99_latency_s:.2f}s p99 at "
-        f"{worst.cell.arrival_rate_hz:.2f}/s with the "
-        f"{worst.cell.thermal.label} backend"
+        f"{worst.cell.scenario.arrivals.mean_rate_hz():.2f}/s with the "
+        f"{worst.cell.scenario.thermal.label} backend"
     )
 
 

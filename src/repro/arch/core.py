@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.cache import CacheHierarchy, MissRates, PAPER_HIERARCHY
-from repro.arch.coherence import DirectoryProtocol
-from repro.arch.memory import MemorySystem
 from repro.energy.instruction import InstructionMix
 
 
@@ -101,36 +99,3 @@ class CoreTimingModel:
         if frequency_hz <= 0:
             raise ValueError("frequency must be positive")
         return frequency_hz / breakdown.total_cpi
-
-    def effective_breakdown(
-        self,
-        mix: InstructionMix,
-        intrinsic_l1_miss: float,
-        intrinsic_l2_miss: float,
-        working_set_bytes: float,
-        sharers: int,
-        frequency_hz: float,
-        memory: MemorySystem,
-        utilization: float,
-        protocol: DirectoryProtocol,
-        base_coherence_fraction: float,
-    ) -> CyclesBreakdown:
-        """Convenience wrapper that resolves miss rates and latencies first."""
-        miss_rates = self.hierarchy.effective_miss_rates(
-            intrinsic_l1_miss=intrinsic_l1_miss,
-            intrinsic_l2_miss=intrinsic_l2_miss,
-            working_set_bytes=working_set_bytes,
-            sharers=sharers,
-        )
-        dram_latency = memory.effective_latency_cycles(frequency_hz, utilization)
-        coherence_fraction = protocol.effective_coherence_fraction(
-            base_coherence_fraction, sharers
-        )
-        coherence_latency = protocol.coherence_miss_cycles(sharers)
-        return self.cycles_breakdown(
-            mix=mix,
-            miss_rates=miss_rates,
-            dram_latency_cycles=dram_latency,
-            coherence_fraction=coherence_fraction,
-            coherence_latency_cycles=coherence_latency,
-        )

@@ -40,13 +40,18 @@ bursty, diurnal, or measured from a trace?  It is organised as a pipeline:
   topology: each rack becomes an independent engine job fanned over a
   process pool, with pre-planned arrivals and per-window budget slices
   so results are bit-identical for any worker count,
-* :mod:`repro.traffic.sweep` — a multiprocessing scenario sweep over
-  policy × rate × fleet × discipline × queue-bound × governor × thermal
-  × topology grids with deterministic seeding and a replication axis,
 * :mod:`repro.traffic.experiments` — the replicated-experiment layer:
   frozen scenarios replayed N times under controlled seed streams, with
   per-metric confidence intervals, common-random-numbers paired
-  comparisons (variance reduction), and CI-driven sequential stopping.
+  comparisons (variance reduction), and CI-driven sequential stopping,
+* :mod:`repro.traffic.sweep` — a multiprocessing sweep of a base scenario
+  over named axes of scenario fields, with deterministic seeding and a
+  replication axis.
+
+The package namespace exports the types a user constructs and the entry
+points a user calls; result types and internals (engine, fast path,
+telemetry instruments, statistics helpers) are imported from their own
+modules.
 
 Quick start:
 
@@ -62,14 +67,7 @@ Quick start:
 50
 """
 
-from repro.core.thermal_backend import (
-    THERMAL_BACKENDS,
-    LinearReservoir,
-    PcmReservoir,
-    RCCooling,
-    ThermalBackend,
-    ThermalSpec,
-)
+from repro.core.thermal_backend import ThermalSpec
 from repro.traffic.arrivals import (
     ArrivalProcess,
     DeterministicArrivals,
@@ -77,216 +75,60 @@ from repro.traffic.arrivals import (
     MMPPArrivals,
     PoissonArrivals,
     TraceArrivals,
-    seed_stream,
 )
-from repro.traffic.device import ServedRequest, SprintDevice
+from repro.traffic.device import SprintDevice
 from repro.traffic.experiments import (
-    ComparisonResult,
-    ExperimentResult,
     ReplicationPlan,
     Scenario,
     compare,
     run_replications,
     run_until,
 )
-from repro.traffic.engine import (
-    DISPATCH_MODES,
-    DISPATCH_POLICIES,
-    EXECUTION_MODES,
-    QUEUE_DISCIPLINES,
-    DispatchFn,
-    EngineResult,
-    LeastLoadedIndex,
-    ServingEngine,
-)
-from repro.traffic.fleet import (
-    FLEET_MODES,
-    DeviceStats,
-    FleetResult,
-    FleetSimulator,
-    resolve_telemetry,
-)
-from repro.traffic.fluid import (
-    FLUID_ACCURACY_CONTRACT,
-    FluidFleetModel,
-    FluidResult,
-)
-from repro.traffic.governor import (
-    GOVERNOR_POLICIES,
-    CooperativeThresholdGovernor,
-    GovernorSpec,
-    GovernorStats,
-    GreedyGovernor,
-    SprintGovernor,
-    TokenBucketGovernor,
-    UnlimitedGovernor,
-)
-from repro.traffic.metrics import (
-    SUMMARY_STAT_FIELDS,
-    MetricEstimate,
-    PairedDelta,
-    TrafficSummary,
-    aggregate_summaries,
-    batch_means_ci,
-    latency_percentiles,
-    mean_ci,
-    paired_delta,
-    sign_test_p,
-    slo_attainment,
-    student_t_cdf,
-    student_t_ppf,
-    summarize,
-)
+from repro.traffic.fleet import FleetResult, FleetSimulator
+from repro.traffic.governor import GovernorSpec
+from repro.traffic.metrics import TrafficSummary
 from repro.traffic.request import (
     FixedService,
     GammaService,
     LognormalService,
     Request,
-    RequestBlock,
     ServiceModel,
     SuiteService,
-    generate_request_blocks,
     generate_requests,
 )
-from repro.traffic.sweep import (
-    ARRIVAL_KINDS,
-    PAIRING_MODES,
-    SWEEP_DISCIPLINES,
-    CellResult,
-    SweepCell,
-    SweepResult,
-    SweepSpec,
-    cell_is_deterministic,
-    expand_cells,
-    pool_map,
-    run_cell,
-    run_sweep,
-)
-from repro.traffic.shard import ShardPlan, plan_shards, run_sharded
-from repro.traffic.telemetry import (
-    TRACE_KINDS,
-    EventTrace,
-    FleetTimeline,
-    QuantileSketch,
-    RunTelemetry,
-    StreamingMoments,
-    TelemetrySpec,
-    TimelineProbe,
-    TraceRecord,
-    TrafficTelemetry,
-)
-from repro.traffic.topology import (
-    LEVELS,
-    TOPOLOGY_DISPATCH,
-    CascadeGovernor,
-    RackSpec,
-    RowSpec,
-    TopologySpec,
-    TopologyStats,
-    apportion_slots,
-)
+from repro.traffic.sweep import SweepSpec, run_sweep
+from repro.traffic.telemetry import TelemetrySpec
+from repro.traffic.topology import RackSpec, RowSpec, TopologySpec
 
 __all__ = [
-    "ARRIVAL_KINDS",
     "ArrivalProcess",
-    "CellResult",
-    "CascadeGovernor",
-    "ComparisonResult",
-    "CooperativeThresholdGovernor",
-    "DISPATCH_MODES",
-    "DISPATCH_POLICIES",
     "DeterministicArrivals",
-    "DeviceStats",
-    "DispatchFn",
     "DiurnalArrivals",
-    "EXECUTION_MODES",
-    "EngineResult",
-    "EventTrace",
-    "ExperimentResult",
-    "FLEET_MODES",
-    "FLUID_ACCURACY_CONTRACT",
     "FixedService",
     "FleetResult",
     "FleetSimulator",
-    "FleetTimeline",
-    "FluidFleetModel",
-    "FluidResult",
-    "GOVERNOR_POLICIES",
     "GammaService",
     "GovernorSpec",
-    "GovernorStats",
-    "GreedyGovernor",
-    "LEVELS",
-    "LeastLoadedIndex",
-    "LinearReservoir",
     "LognormalService",
     "MMPPArrivals",
-    "MetricEstimate",
-    "PAIRING_MODES",
-    "PairedDelta",
-    "PcmReservoir",
     "PoissonArrivals",
-    "QUEUE_DISCIPLINES",
-    "QuantileSketch",
-    "RCCooling",
     "RackSpec",
     "ReplicationPlan",
     "Request",
-    "RequestBlock",
     "RowSpec",
-    "RunTelemetry",
-    "SUMMARY_STAT_FIELDS",
-    "SWEEP_DISCIPLINES",
     "Scenario",
-    "ServedRequest",
     "ServiceModel",
-    "ServingEngine",
-    "ShardPlan",
     "SprintDevice",
-    "SprintGovernor",
-    "StreamingMoments",
     "SuiteService",
-    "SweepCell",
-    "SweepResult",
     "SweepSpec",
-    "THERMAL_BACKENDS",
-    "TOPOLOGY_DISPATCH",
-    "TRACE_KINDS",
     "TelemetrySpec",
-    "ThermalBackend",
     "ThermalSpec",
-    "TimelineProbe",
-    "TokenBucketGovernor",
     "TopologySpec",
-    "TopologyStats",
     "TraceArrivals",
-    "TraceRecord",
     "TrafficSummary",
-    "TrafficTelemetry",
-    "UnlimitedGovernor",
-    "aggregate_summaries",
-    "apportion_slots",
-    "batch_means_ci",
-    "cell_is_deterministic",
     "compare",
-    "expand_cells",
-    "generate_request_blocks",
     "generate_requests",
-    "latency_percentiles",
-    "mean_ci",
-    "paired_delta",
-    "plan_shards",
-    "pool_map",
-    "resolve_telemetry",
-    "run_cell",
     "run_replications",
-    "run_sharded",
     "run_sweep",
     "run_until",
-    "seed_stream",
-    "sign_test_p",
-    "slo_attainment",
-    "student_t_cdf",
-    "student_t_ppf",
-    "summarize",
 ]

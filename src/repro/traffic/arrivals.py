@@ -194,8 +194,8 @@ class DeterministicArrivals(ArrivalProcess):
     interarrival_s: float
 
     def __post_init__(self) -> None:
-        if self.interarrival_s <= 0:
-            raise ValueError("inter-arrival time must be positive")
+        if not 0.0 < self.interarrival_s < math.inf:
+            raise ValueError("inter-arrival time must be positive and finite")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_count(n)
@@ -217,8 +217,8 @@ class PoissonArrivals(ArrivalProcess):
     rate_hz: float
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not 0.0 < self.rate_hz < math.inf:
+            raise ValueError("arrival rate must be positive and finite")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_count(n)
@@ -259,10 +259,14 @@ class MMPPArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         if len(self.rates_hz) != 2 or len(self.mean_dwell_s) != 2:
             raise ValueError("MMPP needs exactly two states")
-        if any(rate < 0 for rate in self.rates_hz) or max(self.rates_hz) == 0:
-            raise ValueError("state rates must be non-negative, at least one positive")
-        if any(dwell <= 0 for dwell in self.mean_dwell_s):
-            raise ValueError("mean dwell times must be positive")
+        if not all(0.0 <= rate < math.inf for rate in self.rates_hz) or (
+            max(self.rates_hz) == 0
+        ):
+            raise ValueError(
+                "state rates must be finite and non-negative, at least one positive"
+            )
+        if not all(0.0 < dwell < math.inf for dwell in self.mean_dwell_s):
+            raise ValueError("mean dwell times must be positive and finite")
 
     @classmethod
     def bursty(
@@ -270,6 +274,34 @@ class MMPPArrivals(ArrivalProcess):
     ) -> "MMPPArrivals":
         """The on-off special case: bursts at ``burst_rate_hz``, silent gaps."""
         return cls(rates_hz=(burst_rate_hz, 0.0), mean_dwell_s=(mean_burst_s, mean_idle_s))
+
+    @classmethod
+    def bursty_at_rate(
+        cls,
+        mean_rate_hz: float,
+        burst_factor: float = 5.0,
+        burst_mean_requests: float = 10.0,
+    ) -> "MMPPArrivals":
+        """On-off bursts that preserve a long-run mean rate.
+
+        Bursts run at ``burst_factor`` times ``mean_rate_hz``, last long
+        enough to carry ``burst_mean_requests`` expected requests, and
+        occupy ``1 / burst_factor`` of the time, so sweeping
+        ``mean_rate_hz`` moves the load while the burst shape stays put.
+        """
+        if not 0.0 < mean_rate_hz < math.inf:
+            raise ValueError("mean arrival rate must be positive and finite")
+        if not 1.0 < burst_factor < math.inf:
+            raise ValueError("burst factor must exceed 1 (burst rate above mean)")
+        if not 0.0 < burst_mean_requests < math.inf:
+            raise ValueError("mean requests per burst must be positive and finite")
+        mean_burst_s = burst_mean_requests / (burst_factor * mean_rate_hz)
+        mean_idle_s = mean_burst_s * (burst_factor - 1.0)
+        return cls.bursty(
+            burst_rate_hz=burst_factor * mean_rate_hz,
+            mean_burst_s=mean_burst_s,
+            mean_idle_s=mean_idle_s,
+        )
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_count(n)
@@ -351,12 +383,14 @@ class DiurnalArrivals(ArrivalProcess):
     peak_at_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_rate_hz <= 0:
-            raise ValueError("base arrival rate must be positive")
+        if not 0.0 < self.base_rate_hz < math.inf:
+            raise ValueError("base arrival rate must be positive and finite")
         if not 0.0 <= self.amplitude < 1.0:
             raise ValueError("amplitude must be in [0, 1)")
-        if self.period_s <= 0:
-            raise ValueError("period must be positive")
+        if not 0.0 < self.period_s < math.inf:
+            raise ValueError("period must be positive and finite")
+        if not math.isfinite(self.peak_at_s):
+            raise ValueError("peak offset must be finite")
 
     def rate_at(self, time_s: float) -> float:
         """Instantaneous arrival rate at an absolute time."""
@@ -416,8 +450,8 @@ class TraceArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         if not self.interarrivals_s:
             raise ValueError("trace must contain at least one inter-arrival time")
-        if any(gap < 0 for gap in self.interarrivals_s):
-            raise ValueError("inter-arrival times must be non-negative")
+        if not all(0.0 <= gap < math.inf for gap in self.interarrivals_s):
+            raise ValueError("inter-arrival times must be finite and non-negative")
         if sum(self.interarrivals_s) <= 0:
             raise ValueError("trace must advance time")
 

@@ -13,7 +13,7 @@ discipline on top of the simulator:
   mode × base seed, with deterministic per-replication seed streams
   derived through :func:`repro.traffic.arrivals.seed_stream`,
 * :func:`run_replications` — N independent replications (fanned across
-  worker processes via the sweep's pool) reduced to per-metric
+  worker processes via :func:`pool_map`) reduced to per-metric
   mean / Student-t confidence intervals (:class:`ExperimentResult`),
 * :func:`run_until` — sequential stopping: add replications until the
   target metric's CI half-width falls under a threshold,
@@ -73,6 +73,8 @@ plan collapses to a single replication:
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,9 +87,13 @@ from repro.traffic.arrivals import (
     TraceArrivals,
     seed_stream,
 )
-from repro.traffic.engine import DISPATCH_POLICIES, EXECUTION_MODES, QUEUE_DISCIPLINES
-from repro.traffic.fleet import FLEET_MODES, FleetResult, FleetSimulator, resolve_telemetry
-from repro.traffic.fluid import FluidResult
+from repro.traffic.engine import (
+    DISPATCH_MODES,
+    DISPATCH_POLICIES,
+    EXECUTION_MODES,
+    QUEUE_DISCIPLINES,
+)
+from repro.traffic.fleet import FleetResult, FleetSimulator, resolve_telemetry
 from repro.traffic.governor import GovernorSpec
 from repro.traffic.metrics import (
     MetricEstimate,
@@ -98,7 +104,6 @@ from repro.traffic.metrics import (
     paired_delta,
 )
 from repro.traffic.request import FixedService, Request, ServiceModel, generate_requests
-from repro.traffic.sweep import PAIRING_MODES, pool_map
 from repro.traffic.telemetry import (
     FleetTimeline,
     RunTelemetry,
@@ -116,6 +121,34 @@ __all__ = [
     "run_replications",
     "run_until",
 ]
+
+#: Replication seeding modes: ``"crn"`` (common random numbers — arms and
+#: cells that share a request stream replay the same draws per
+#: replication, so comparisons stay paired) or ``"independent"`` (each arm
+#: or cell draws its own streams — the noisy classical design, kept so the
+#: variance reduction can be measured).
+PAIRING_MODES = ("crn", "independent")
+
+
+def pool_map(fn, jobs, workers: int) -> list:
+    """Map ``fn`` over ``jobs``, optionally fanned across worker processes.
+
+    The shared fan-out primitive of the traffic stack: replication jobs
+    (:func:`run_replications`), sweep cells
+    (:func:`repro.traffic.sweep.run_sweep`) and topology shards
+    (:func:`repro.traffic.shard.run_sharded`) all spread through it.
+    ``workers=1`` (or a single job) runs serially in-process; results
+    always come back in job order, so callers are bit-identical for any
+    worker count provided ``fn`` is deterministic per job.
+    """
+    if workers < 1:
+        raise ValueError("worker count must be at least 1")
+    jobs = list(jobs)
+    if workers == 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    with multiprocessing.Pool(processes=min(workers, len(jobs))) as pool:
+        return pool.map(fn, jobs)
+
 
 # Domain tags separating the seed universes of an experiment's streams.
 # Appending a tag word keeps replication streams disjoint from the legacy
@@ -163,7 +196,7 @@ class Scenario:
     #: Engine execution strategy for the discrete-event modes:
     #: ``"batched"`` (default — vectorized fast path where eligible,
     #: bit-identical to the event loop) or ``"exact"`` (always the scalar
-    #: event loop).  Ignored by ``mode="fluid"``.
+    #: event loop).
     engine: str = "batched"
     #: Hierarchical fleet shape (:class:`~repro.traffic.topology.TopologySpec`).
     #: When set, ``n_devices`` is taken from the topology (leave it at the
@@ -186,8 +219,6 @@ class Scenario:
                     "leave n_devices unset"
                 )
             object.__setattr__(self, "n_devices", self.topology.total_devices)
-            if self.mode == "fluid":
-                raise ValueError("fluid mode has no topology")
             governor = self.governor
             if isinstance(governor, str):
                 governor = GovernorSpec(policy=governor)
@@ -205,9 +236,9 @@ class Scenario:
                 f"unknown dispatch policy {self.policy!r}; "
                 f"available: {sorted(DISPATCH_POLICIES)}"
             )
-        if self.mode not in FLEET_MODES:
+        if self.mode not in DISPATCH_MODES:
             raise ValueError(
-                f"unknown fleet mode {self.mode!r}; available: {FLEET_MODES}"
+                f"unknown fleet mode {self.mode!r}; available: {DISPATCH_MODES}"
             )
         if self.engine not in EXECUTION_MODES:
             raise ValueError(
@@ -219,25 +250,20 @@ class Scenario:
                 f"unknown queue discipline {self.discipline!r}; "
                 f"available: {QUEUE_DISCIPLINES}"
             )
+        if self.queue_bound is not None and not self.queue_bound >= 0:
+            raise ValueError("queue bound must be non-negative (or None)")
+        if not 1.0 <= self.sprint_speedup < math.inf:
+            raise ValueError("sprint speedup must be a finite factor of at least 1x")
+        if self.deadline_s is not None and not self.deadline_s > 0:
+            raise ValueError("deadline must be positive (or None)")
+        if self.slo_s is not None and not self.slo_s > 0:
+            raise ValueError("SLO must be positive (or None)")
         # Normalise names to frozen specs so scenarios stay hashable and
         # equal whenever they mean the same experiment.
         if isinstance(self.governor, str):
             object.__setattr__(self, "governor", GovernorSpec(policy=self.governor))
         if isinstance(self.thermal, str):
             object.__setattr__(self, "thermal", ThermalSpec(backend=self.thermal))
-        if self.mode == "fluid":
-            # Fail at construction, not inside a worker process: the fluid
-            # limit is ungoverned and instrument-free by construction.
-            if self.governor.policy != "unlimited":
-                raise ValueError(
-                    "fluid mode is ungoverned; use the unlimited governor"
-                )
-            if self.queue_bound is not None:
-                raise ValueError("fluid mode has no bounded central queue")
-            if self.telemetry not in (None, False):
-                raise ValueError(
-                    "fluid mode carries no streaming instruments"
-                )
         resolve_telemetry(self.telemetry, self.keep_samples)  # fail fast
 
     def with_options(self, **changes) -> "Scenario":
@@ -295,7 +321,7 @@ class Scenario:
         config: SystemConfig,
         request_seed: int | np.random.SeedSequence,
         run_seed: int | np.random.SeedSequence,
-    ) -> FleetResult | FluidResult:
+    ) -> FleetResult:
         """One full replication: generate requests, run the fleet."""
         return self.build_fleet(config).run(self.requests(request_seed), seed=run_seed)
 
@@ -486,9 +512,9 @@ def run_replications(
 ) -> ExperimentResult:
     """Run a plan's replications, optionally fanned across processes.
 
-    Reuses the sweep's worker pool (:func:`repro.traffic.sweep.pool_map`),
-    and is bit-identical for any worker count because every replication's
-    seed streams derive from the plan alone.  A deterministic scenario
+    Fans out through :func:`pool_map`, and is bit-identical for any
+    worker count because every replication's seed streams derive from the
+    plan alone.  A deterministic scenario
     collapses to a single replication (see
     :attr:`ReplicationPlan.effective_replications`).
     """

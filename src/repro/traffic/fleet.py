@@ -71,7 +71,6 @@ from repro.traffic.engine import (
     DispatchFn,
     ServingEngine,
 )
-from repro.traffic.fluid import FluidFleetModel, FluidResult
 from repro.traffic.governor import GovernorSpec, GovernorStats, SprintGovernor
 from repro.traffic.metrics import TrafficSummary, summarize
 from repro.traffic.request import Request, ServiceModel, generate_request_blocks
@@ -82,19 +81,12 @@ __all__ = [
     "DISPATCH_MODES",
     "DISPATCH_POLICIES",
     "EXECUTION_MODES",
-    "FLEET_MODES",
     "QUEUE_DISCIPLINES",
     "DeviceStats",
     "DispatchFn",
     "FleetResult",
     "FleetSimulator",
 ]
-
-#: Simulation modes a fleet can run: the two discrete-event dispatch
-#: modes (every request simulated) plus the calibrated fluid limit
-#: (:mod:`repro.traffic.fluid` — deterministic mean-field integration,
-#: accuracy per :data:`repro.traffic.fluid.FLUID_ACCURACY_CONTRACT`).
-FLEET_MODES = DISPATCH_MODES + ("fluid",)
 
 
 def resolve_telemetry(
@@ -335,11 +327,6 @@ class FleetSimulator:
                     "a topology fleet takes its budgets from the topology "
                     "spec; leave governor at 'unlimited'"
                 )
-            if mode == "fluid":
-                raise ValueError(
-                    "fluid mode has no topology; it models one "
-                    "work-conserving pool"
-                )
             if shard_workers < 1:
                 raise ValueError("shard worker count must be at least 1")
             n_devices = topology.validate_devices(n_devices)
@@ -369,9 +356,9 @@ class FleetSimulator:
             raise ValueError("a fleet needs n_devices or a topology")
         if n_devices < 1:
             raise ValueError("a fleet needs at least one device")
-        if mode not in FLEET_MODES:
+        if mode not in DISPATCH_MODES:
             raise ValueError(
-                f"unknown fleet mode {mode!r}; available: {FLEET_MODES}"
+                f"unknown fleet mode {mode!r}; available: {DISPATCH_MODES}"
             )
         if engine not in EXECUTION_MODES:
             raise ValueError(
@@ -423,33 +410,6 @@ class FleetSimulator:
         self.sprint_speedup = sprint_speedup
         self.sprint_enabled = sprint_enabled
         self.refuse_partial_sprints = refuse_partial_sprints
-        self._fluid: FluidFleetModel | None = None
-        if mode == "fluid":
-            # The fluid limit is work-conserving across the whole pool and
-            # ungoverned by construction; knobs it cannot honour are
-            # rejected rather than silently ignored.
-            if not self.governor.is_unlimited:
-                raise ValueError(
-                    "fluid mode is ungoverned; use the unlimited governor"
-                )
-            if queue_bound is not None:
-                raise ValueError("fluid mode has no bounded central queue")
-            if telemetry not in (None, False):
-                raise ValueError(
-                    "fluid mode carries no streaming instruments; its result "
-                    "arrays are already the full trajectory"
-                )
-            self.telemetry_spec = None
-            self.devices: list[SprintDevice] = []
-            self._fluid = FluidFleetModel(
-                config,
-                n_devices=n_devices,
-                sprint_speedup=sprint_speedup,
-                sprint_enabled=sprint_enabled,
-                refuse_partial_sprints=refuse_partial_sprints,
-                thermal=thermal,
-            )
-            return
         self.telemetry_spec = resolve_telemetry(telemetry, keep_samples)
         if self._sharded:
             # Devices live inside each rack's shard job; validate here the
@@ -461,7 +421,7 @@ class FleetSimulator:
                 )
             if queue_bound is not None and queue_bound < 0:
                 raise ValueError("queue bound must be non-negative (or None)")
-            self.devices = []
+            self.devices: list[SprintDevice] = []
             return
         self.devices = [
             SprintDevice(
@@ -508,30 +468,21 @@ class FleetSimulator:
         self,
         requests: Sequence[Request],
         seed: int | np.random.SeedSequence = 0,
-    ) -> FleetResult | FluidResult:
+    ) -> FleetResult:
         """Serve ``requests`` and collect results.
 
         ``seed`` only feeds policies that randomise (``random``); the
         deterministic policies ignore it, and two runs with identical
         requests and seed produce identical per-request latencies.  An
         empty request stream is a valid (empty) run, so sweeps over sparse
-        arrival processes never crash.  A ``mode="fluid"`` fleet returns a
-        :class:`~repro.traffic.fluid.FluidResult` instead (same
-        ``summary()`` surface, array-backed).  A non-flat ``topology``
-        fleet runs sharded (:func:`repro.traffic.shard.run_sharded`) —
+        arrival processes never crash.  A non-flat ``topology`` fleet runs
+        sharded (:func:`repro.traffic.shard.run_sharded`) —
         bit-identical for any ``shard_workers`` value.
         """
         if self._sharded:
             from repro.traffic.shard import run_sharded
 
             return run_sharded(self, requests, seed, self.shard_workers)
-        if self._fluid is not None:
-            arrival = np.array([r.arrival_s for r in requests], dtype=float)
-            sustained = np.array([r.sustained_time_s for r in requests], dtype=float)
-            deadlines = np.array([r.deadline_at_s for r in requests], dtype=float)
-            if arrival.size == 0 or np.all(np.isinf(deadlines)):
-                deadlines = None
-            return self._fluid.run(arrival, sustained, deadline_at_s=deadlines)
         for device in self.devices:
             device.reset()
         self.governor.reset()
@@ -551,7 +502,7 @@ class FleetSimulator:
         run_seed: int | np.random.SeedSequence = 0,
         deadline_s: float | None = None,
         chunk_size: int = DEFAULT_CHUNK,
-    ) -> FleetResult | FluidResult:
+    ) -> FleetResult:
         """Generate and serve a request stream without materialising it.
 
         The streaming counterpart of :func:`generate_requests` +
@@ -562,9 +513,7 @@ class FleetSimulator:
         (:attr:`~repro.traffic.engine.ServingEngine.fast_path_reason` is
         ``None``) with ``keep_samples=False`` the whole run stays in
         vectorized block processing with flat memory; otherwise requests
-        are materialised chunk by chunk and served exactly.  A
-        ``mode="fluid"`` fleet integrates the blocks' arrays directly.
-        A non-flat ``topology`` fleet materialises the stream and runs
+        are materialised chunk by chunk and served exactly.  A non-flat ``topology`` fleet materialises the stream and runs
         sharded — rack dispatch plans over the whole stream upfront.
         """
         if self._sharded:
@@ -583,25 +532,6 @@ class FleetSimulator:
                 for request in block.to_requests()
             ]
             return run_sharded(self, requests, run_seed, self.shard_workers)
-        if self._fluid is not None:
-            times = []
-            demands = []
-            for block in generate_request_blocks(
-                arrivals,
-                service,
-                n_requests,
-                seed=request_seed,
-                deadline_s=deadline_s,
-                chunk_size=chunk_size,
-            ):
-                times.append(block.arrival_s)
-                demands.append(block.sustained_time_s)
-            arrival = np.concatenate(times)
-            sustained = np.concatenate(demands)
-            deadlines = None
-            if deadline_s is not None:
-                deadlines = arrival + deadline_s
-            return self._fluid.run(arrival, sustained, deadline_at_s=deadlines)
         for device in self.devices:
             device.reset()
         self.governor.reset()

@@ -31,6 +31,7 @@ Usage:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -56,11 +57,13 @@ class Request:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival time must be non-negative")
-        if self.sustained_time_s <= 0:
-            raise ValueError("sustained time must be positive")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        # Written so that NaN fails every check: a NaN arrival or demand
+        # would otherwise flow through the engine into a NaN summary.
+        if not 0.0 <= self.arrival_s < math.inf:
+            raise ValueError("arrival time must be finite and non-negative")
+        if not 0.0 < self.sustained_time_s < math.inf:
+            raise ValueError("sustained time must be positive and finite")
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError("deadline must be positive (or None)")
 
     @property
@@ -104,8 +107,8 @@ class FixedService(ServiceModel):
     input_label: str = ""
 
     def __post_init__(self) -> None:
-        if self.sustained_time_s <= 0:
-            raise ValueError("sustained time must be positive")
+        if not 0.0 < self.sustained_time_s < math.inf:
+            raise ValueError("sustained time must be positive and finite")
 
     def sample(self, n: int, rng: np.random.Generator) -> list[tuple[float, str, str]]:
         return [(self.sustained_time_s, self.kernel, self.input_label)] * n
@@ -130,10 +133,10 @@ class GammaService(ServiceModel):
     kernel: str = "gamma"
 
     def __post_init__(self) -> None:
-        if self.mean_s <= 0:
-            raise ValueError("mean service time must be positive")
-        if self.cv < 0:
-            raise ValueError("coefficient of variation must be non-negative")
+        if not 0.0 < self.mean_s < math.inf:
+            raise ValueError("mean service time must be positive and finite")
+        if not 0.0 <= self.cv < math.inf:
+            raise ValueError("coefficient of variation must be finite and non-negative")
 
     def sample(self, n: int, rng: np.random.Generator) -> list[tuple[float, str, str]]:
         if self.cv == 0:
@@ -165,10 +168,10 @@ class LognormalService(ServiceModel):
     kernel: str = "lognormal"
 
     def __post_init__(self) -> None:
-        if self.median_s <= 0:
-            raise ValueError("median service time must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0.0 < self.median_s < math.inf:
+            raise ValueError("median service time must be positive and finite")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and non-negative")
 
     def sample(self, n: int, rng: np.random.Generator) -> list[tuple[float, str, str]]:
         draws = self.median_s * np.exp(self.sigma * rng.standard_normal(n))
@@ -201,8 +204,8 @@ class SuiteService(ServiceModel):
     )
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
+        if not 0.0 < self.frequency_hz < math.inf:
+            raise ValueError("frequency must be positive and finite")
         if self.weights is not None:
             if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
                 raise ValueError("weights must be non-negative with a positive sum")
@@ -260,6 +263,16 @@ class RequestBlock:
     kernels: tuple[str, ...] | str = ""
     input_labels: tuple[str, ...] | str = ""
     deadline_s: float | None = None
+
+    def __post_init__(self) -> None:
+        # One vectorised check per block instead of one per request.
+        if not (np.isfinite(self.arrival_s).all() and (self.arrival_s >= 0).all()):
+            raise ValueError("arrival times must be finite and non-negative")
+        demands = self.sustained_time_s
+        if not (np.isfinite(demands).all() and (demands > 0).all()):
+            raise ValueError("sustained times must be positive and finite")
+        if self.deadline_s is not None and not self.deadline_s > 0:
+            raise ValueError("deadline must be positive (or None)")
 
     def __len__(self) -> int:
         return self.arrival_s.size

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.arch.cache import MissRates
-from repro.arch.coherence import DirectoryProtocol
 from repro.arch.core import CoreTimingModel, CyclesBreakdown
-from repro.arch.memory import MemorySystem
 from repro.energy.instruction import DEFAULT_MIX, InstructionMix
 
 
@@ -73,22 +71,6 @@ class TestCoreTimingModel:
     def test_instructions_per_second(self):
         breakdown = CyclesBreakdown(base_cpi=2.0, l2_hit_cpi=0.0, dram_cpi=0.0, coherence_cpi=0.0)
         assert self.model.instructions_per_second(1e9, breakdown) == pytest.approx(5e8)
-
-    def test_effective_breakdown_pipeline(self):
-        breakdown = self.model.effective_breakdown(
-            mix=DEFAULT_MIX,
-            intrinsic_l1_miss=0.05,
-            intrinsic_l2_miss=0.5,
-            working_set_bytes=16 * 1024 * 1024,
-            sharers=16,
-            frequency_hz=1e9,
-            memory=MemorySystem(),
-            utilization=0.5,
-            protocol=DirectoryProtocol(),
-            base_coherence_fraction=0.05,
-        )
-        assert breakdown.total_cpi > 1.0
-        assert breakdown.coherence_cpi > 0.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,24 @@ class TestArrivalProcesses:
         cv = gaps.std() / gaps.mean()
         assert cv > 1.5
 
+    def test_bursty_at_rate_preserves_mean_rate(self):
+        process = MMPPArrivals.bursty_at_rate(0.2, burst_factor=4.0)
+        assert process.mean_rate_hz() == pytest.approx(0.2)
+
+    def test_bursty_burst_length_is_tunable(self):
+        process = MMPPArrivals.bursty_at_rate(
+            0.2, burst_factor=4.0, burst_mean_requests=20.0
+        )
+        # A burst at 4 x 0.2/s carrying 20 expected requests lasts 25 s.
+        assert process.mean_dwell_s[0] == pytest.approx(25.0)
+        assert process.mean_rate_hz() == pytest.approx(0.2)
+        with pytest.raises(ValueError, match="burst factor"):
+            MMPPArrivals.bursty_at_rate(0.2, burst_factor=1.0)
+        with pytest.raises(ValueError, match="per burst"):
+            MMPPArrivals.bursty_at_rate(0.2, burst_mean_requests=0.0)
+        with pytest.raises(ValueError, match="mean arrival rate"):
+            MMPPArrivals.bursty_at_rate(0.0)
+
     def test_mmpp_mean_rate_weights_dwell_times(self):
         process = MMPPArrivals(rates_hz=(4.0, 1.0), mean_dwell_s=(1.0, 3.0))
         assert process.mean_rate_hz() == pytest.approx((4.0 + 3.0) / 4.0)

@@ -25,23 +25,24 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.traffic import (
-    ComparisonResult,
     DeterministicArrivals,
     FixedService,
     GammaService,
-    MetricEstimate,
     PoissonArrivals,
     ReplicationPlan,
     Scenario,
-    aggregate_summaries,
-    batch_means_ci,
     compare,
-    mean_ci,
-    paired_delta,
-    pool_map,
     run_replications,
     run_until,
-    seed_stream,
+)
+from repro.traffic.arrivals import seed_stream
+from repro.traffic.experiments import ComparisonResult, pool_map
+from repro.traffic.metrics import (
+    MetricEstimate,
+    aggregate_summaries,
+    batch_means_ci,
+    mean_ci,
+    paired_delta,
     sign_test_p,
     student_t_cdf,
     student_t_ppf,

@@ -14,6 +14,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.traffic.arrivals import DeterministicArrivals, PoissonArrivals
 from repro.traffic.engine import DISPATCH_POLICIES
+from repro.traffic.experiments import Scenario
 from repro.traffic.fleet import FleetSimulator
 from repro.traffic.governor import (
     GOVERNOR_POLICIES,
@@ -475,56 +476,67 @@ class TestGovernorSpec:
         assert result.summary().governor_policy == "greedy"
 
 
+def governor_sweep(governors, rates=(0.1,), sizes=(1,), n_requests=200, **options):
+    base = Scenario(
+        arrivals=PoissonArrivals(rates[0]),
+        service=FixedService(5.0),
+        n_requests=n_requests,
+        **options,
+    )
+    return SweepSpec(
+        base,
+        axes=(
+            ("arrivals", tuple(PoissonArrivals(r) for r in rates)),
+            ("n_devices", sizes),
+            ("governor", governors),
+        ),
+    )
+
+
 class TestSweepGovernorAxis:
     def test_governor_axis_expands_the_grid(self):
-        spec = SweepSpec(
-            arrival_rates_hz=(0.1, 0.2),
-            fleet_sizes=(2,),
-            governors=(GovernorSpec(), GovernorSpec.greedy(2)),
+        spec = governor_sweep(
+            (GovernorSpec(), GovernorSpec.greedy(2)), rates=(0.1, 0.2), sizes=(2,)
         )
         cells = expand_cells(spec)
         assert len(cells) == 4
-        assert {c.governor.policy for c in cells} == {"unlimited", "greedy"}
+        assert {c.scenario.governor.policy for c in cells} == {"unlimited", "greedy"}
         assert [c.index for c in cells] == list(range(4))
 
-    def test_default_axis_reproduces_legacy_grid(self):
-        spec = SweepSpec(arrival_rates_hz=(0.1,), fleet_sizes=(1, 2))
+    def test_default_governor_is_unlimited(self):
+        spec = SweepSpec(
+            Scenario(PoissonArrivals(0.1), FixedService(5.0), n_requests=20),
+            axes=(("n_devices", (1, 2)),),
+        )
         cells = expand_cells(spec)
         assert len(cells) == 2
-        assert all(c.governor == GovernorSpec() for c in cells)
+        assert all(c.scenario.governor == GovernorSpec() for c in cells)
 
     def test_string_governors_normalise(self):
-        spec = SweepSpec(governors=("unlimited",))
-        assert spec.governors == (GovernorSpec(),)
+        (cell,) = expand_cells(governor_sweep(("unlimited",)))
+        assert cell.scenario.governor == GovernorSpec()
 
     def test_duplicate_governors_collapse(self):
-        spec = SweepSpec(
-            arrival_rates_hz=(0.1,),
-            fleet_sizes=(1,),
-            governors=(GovernorSpec(), "unlimited", GovernorSpec.greedy(2)),
-        )
+        spec = governor_sweep((GovernorSpec(), "unlimited", GovernorSpec.greedy(2)))
         cells = expand_cells(spec)
         assert len(cells) == 2  # the duplicate unlimited collapsed
 
     def test_sprint_disabled_collapses_governor_axis(self):
         """A power governor cannot affect a fleet that never sprints, so a
         no-sprint sweep must not multiply its cost along the axis."""
-        spec = SweepSpec(
-            arrival_rates_hz=(0.1,),
-            fleet_sizes=(1,),
-            sprint_enabled=False,
-            governors=(GovernorSpec(), GovernorSpec.greedy(2)),
+        spec = governor_sweep(
+            (GovernorSpec(), GovernorSpec.greedy(2)), sprint_enabled=False
         )
         cells = expand_cells(spec)
         assert len(cells) == 1
-        assert cells[0].governor == GovernorSpec()
+        assert cells[0].scenario.governor == GovernorSpec()
 
     def test_governed_cells_run_and_pair_streams(self):
-        spec = SweepSpec(
-            arrival_rates_hz=(0.6,),
-            fleet_sizes=(4,),
+        spec = governor_sweep(
+            (GovernorSpec(), GovernorSpec.greedy(1)),
+            rates=(0.6,),
+            sizes=(4,),
             n_requests=60,
-            governors=(GovernorSpec(), GovernorSpec.greedy(1)),
         )
         result = run_sweep(spec)
         unlimited, governed = result.cells
@@ -534,40 +546,34 @@ class TestSweepGovernorAxis:
         assert governed.summary.p99_latency_s >= unlimited.summary.p99_latency_s
 
     def test_governed_sweep_parallel_matches_serial(self):
-        spec = SweepSpec(
-            arrival_rates_hz=(0.3, 0.6),
-            fleet_sizes=(2,),
+        spec = governor_sweep(
+            (GovernorSpec(), GovernorSpec.token_bucket(0.05, 3)),
+            rates=(0.3, 0.6),
+            sizes=(2,),
             n_requests=40,
-            governors=(GovernorSpec(), GovernorSpec.token_bucket(0.05, 3)),
         )
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=3)
         assert serial.cells == parallel.cells
 
     def test_format_table_shows_governance(self):
-        spec = SweepSpec(
-            arrival_rates_hz=(0.5,),
-            fleet_sizes=(2,),
-            n_requests=30,
-            governors=(GovernorSpec.greedy(1),),
+        spec = governor_sweep(
+            (GovernorSpec.greedy(1),), rates=(0.5,), sizes=(2,), n_requests=30
         )
         table = run_sweep(spec).format_table()
         assert "governor" in table
         assert "greedy[1]" in table
         assert "den" in table
 
-    def test_filtered_by_governor_policy(self):
-        spec = SweepSpec(
-            arrival_rates_hz=(0.2,),
-            fleet_sizes=(1,),
-            n_requests=20,
-            governors=(GovernorSpec(), GovernorSpec.greedy(1)),
+    def test_filtered_by_governor(self):
+        spec = governor_sweep(
+            (GovernorSpec(), GovernorSpec.greedy(1)), rates=(0.2,), n_requests=20
         )
         result = run_sweep(spec)
-        subset = result.filtered(governor_policy="greedy")
+        subset = result.filtered(governor=GovernorSpec.greedy(1))
         assert len(subset) == 1
-        assert subset[0].cell.governor.policy == "greedy"
+        assert subset[0].cell.scenario.governor.policy == "greedy"
 
     def test_empty_governor_axis_rejected(self):
         with pytest.raises(ValueError):
-            SweepSpec(governors=())
+            governor_sweep(())

@@ -28,7 +28,6 @@ from hypothesis import given, strategies as st
 
 from repro.core.config import SystemConfig
 from repro.traffic import (
-    TOPOLOGY_DISPATCH,
     FixedService,
     FleetSimulator,
     GammaService,
@@ -45,6 +44,7 @@ from repro.traffic.arrivals import (
     MMPPArrivals,
     PoissonArrivals,
 )
+from repro.traffic.topology import TOPOLOGY_DISPATCH
 
 CONFIG = SystemConfig.paper_default()
 

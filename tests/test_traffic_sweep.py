@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.traffic import (
+    DeterministicArrivals,
+    DiurnalArrivals,
+    FixedService,
+    GammaService,
+    MMPPArrivals,
+    PoissonArrivals,
+    Scenario,
+)
 from repro.traffic.sweep import (
     CellResult,
     SweepSpec,
+    _cell_seeds,
     expand_cells,
     run_cell,
     run_sweep,
@@ -17,14 +27,26 @@ from repro.traffic.sweep import (
 CONFIG = SystemConfig.paper_default()
 
 
+def poisson(*rates):
+    return tuple(PoissonArrivals(rate) for rate in rates)
+
+
+def base(**options):
+    options.setdefault("arrivals", PoissonArrivals(0.1))
+    options.setdefault("service", FixedService(5.0))
+    options.setdefault("n_requests", 25)
+    return Scenario(**options)
+
+
 @pytest.fixture(scope="module")
 def small_spec():
     return SweepSpec(
-        policies=("round_robin", "least_loaded"),
-        arrival_rates_hz=(0.05, 0.2),
-        fleet_sizes=(1, 2),
-        n_requests=25,
-        slo_s=2.0,
+        base(slo_s=2.0),
+        axes=(
+            ("policy", ("round_robin", "least_loaded")),
+            ("arrivals", poisson(0.05, 0.2)),
+            ("n_devices", (1, 2)),
+        ),
         base_seed=7,
     )
 
@@ -34,44 +56,115 @@ class TestGridExpansion:
         cells = expand_cells(small_spec)
         assert len(cells) == 8
         assert [c.index for c in cells] == list(range(8))
-        assert cells[0].policy == "round_robin"
-        assert cells[-1].policy == "least_loaded"
+        assert cells[0].scenario.policy == "round_robin"
+        assert cells[-1].scenario.policy == "least_loaded"
 
-    def test_stream_key_depends_only_on_arrival_rate(self, small_spec):
-        """Cells differing in policy or fleet size must replay the same
-        request stream; only the arrival rate changes it."""
+    def test_cells_are_base_with_overrides(self, small_spec):
         cells = expand_cells(small_spec)
-        by_rate = {}
-        for cell in cells:
-            by_rate.setdefault(cell.arrival_rate_hz, set()).add(cell.stream_key)
-        for keys in by_rate.values():
-            assert len(keys) == 1
-        assert len({keys.pop() for keys in by_rate.values()}) == len(by_rate)
+        expected = [
+            small_spec.base.with_options(policy=p, arrivals=a, n_devices=n)
+            for p in ("round_robin", "least_loaded")
+            for a in poisson(0.05, 0.2)
+            for n in (1, 2)
+        ]
+        assert [c.scenario for c in cells] == expected
 
-    def test_seed_sequence_derives_from_base_seed(self, small_spec):
-        a = expand_cells(small_spec)[0]
-        b = expand_cells(SweepSpec(base_seed=99))[0]
-        assert a.seed_sequence.entropy != b.seed_sequence.entropy
+    def test_spec_without_axes_is_the_base_cell(self):
+        spec = SweepSpec(base())
+        (cell,) = expand_cells(spec)
+        assert cell.scenario == spec.base
+        assert cell.stream_key == (0,)
+
+    def test_stream_key_depends_only_on_arrivals(self, small_spec):
+        """Cells differing in policy or fleet size must replay the same
+        request stream; only the arrival process changes it."""
+        cells = expand_cells(small_spec)
+        by_arrivals = {}
+        for cell in cells:
+            by_arrivals.setdefault(cell.scenario.arrivals, set()).add(cell.stream_key)
+        for keys in by_arrivals.values():
+            assert len(keys) == 1
+        assert len({keys.pop() for keys in by_arrivals.values()}) == len(by_arrivals)
+
+    def test_stream_key_spans_every_request_stream_axis(self):
+        spec = SweepSpec(
+            base(),
+            axes=(
+                ("arrivals", poisson(0.1, 0.2)),
+                ("n_devices", (1, 2)),
+                ("service", (FixedService(5.0), GammaService(5.0, cv=1.0))),
+            ),
+        )
+        keys = [c.stream_key for c in expand_cells(spec)]
+        assert keys == [(0,), (1,), (0,), (1,), (2,), (3,), (2,), (3,)]
+
+    def test_seed_derives_from_base_seed(self, small_spec):
+        cell = expand_cells(small_spec)[0]
+        other = replace(small_spec, base_seed=99)
+        a, _ = _cell_seeds(small_spec, cell, 0)
+        b, _ = _cell_seeds(other, cell, 0)
+        assert a.entropy != b.entropy
 
     def test_dispatch_seed_distinguishes_base_seed_from_cell_index(self):
         """The dispatch RNG is seeded from the (base_seed, index) *pair*, so
         swapping the components — which an additive seed would conflate —
         must give a different random-dispatch assignment."""
-        import numpy as np
+        from repro.traffic import FleetSimulator, generate_requests
 
-        from repro.traffic import FixedService, FleetSimulator, PoissonArrivals
-        from repro.traffic.request import generate_requests
-
-        config = SystemConfig.paper_default()
         requests = generate_requests(PoissonArrivals(0.5), FixedService(5.0), 60, seed=1)
 
         def assignments(seed_pair):
-            fleet = FleetSimulator(config, 8, policy="random")
+            fleet = FleetSimulator(CONFIG, 8, policy="random")
             result = fleet.run(requests, seed=np.random.SeedSequence(seed_pair))
             return [s.device_id for s in result.served]
 
         assert assignments([0, 5]) == assignments([0, 5])
         assert assignments([0, 5]) != assignments([5, 0])
+
+    def test_mode_and_bound_axes_expand_the_grid(self, small_spec):
+        spec = replace(
+            small_spec,
+            axes=small_spec.axes
+            + (("mode", ("immediate", "central_queue")), ("queue_bound", (None, 4))),
+        )
+        cells = expand_cells(spec)
+        # Redundant combinations are collapsed: immediate cells ignore the
+        # bound axis (8 = 2 policies x 2 rates x 2 fleets), central cells
+        # ignore the policy axis (8 = 2 rates x 2 fleets x 2 bounds).
+        assert len(cells) == 16
+        central = [c.scenario for c in cells if c.scenario.mode == "central_queue"]
+        immediate = [c.scenario for c in cells if c.scenario.mode == "immediate"]
+        assert {s.queue_bound for s in central} == {None, 4}
+        assert all(s.queue_bound is None for s in immediate)
+        assert {s.policy for s in central} == {"round_robin"}
+        assert [c.index for c in cells] == list(range(16))
+
+    def test_discipline_axis_collapses_on_immediate_cells(self):
+        spec = SweepSpec(
+            base(),
+            axes=(
+                ("mode", ("immediate", "central_queue")),
+                ("discipline", ("fifo", "edf")),
+            ),
+        )
+        modes = [(c.scenario.mode, c.scenario.discipline) for c in expand_cells(spec)]
+        assert modes == [
+            ("immediate", "fifo"),
+            ("central_queue", "fifo"),
+            ("central_queue", "edf"),
+        ]
+
+    def test_duplicate_values_collapse_to_first_occurrence(self):
+        spec = SweepSpec(
+            base(), axes=(("n_devices", (2, 1, 2)), ("thermal", ("linear", "rc")))
+        )
+        cells = expand_cells(spec)
+        assert [(c.scenario.n_devices, c.scenario.thermal.backend) for c in cells] == [
+            (2, "linear"),
+            (2, "rc"),
+            (1, "linear"),
+            (1, "rc"),
+        ]
 
 
 class TestSweepExecution:
@@ -87,87 +180,58 @@ class TestSweepExecution:
         """With a single device every dispatch policy is a no-op, and since the
         request stream is policy-independent the summaries must coincide."""
         result = run_sweep(small_spec)
-        for rate in small_spec.arrival_rates_hz:
+        for arrivals in poisson(0.05, 0.2):
             summaries = [
-                c.summary for c in result.filtered(arrival_rate_hz=rate, n_devices=1)
+                c.summary for c in result.filtered(arrivals=arrivals, n_devices=1)
             ]
+            assert len(summaries) == 2
             assert all(s == summaries[0] for s in summaries)
 
     def test_run_cell_matches_sweep(self, small_spec):
         cells = expand_cells(small_spec)
-        config = SystemConfig.paper_default()
-        direct = run_cell(small_spec, cells[3], config)
-        swept = run_sweep(small_spec, config).cells[3]
+        direct = run_cell(small_spec, cells[3], CONFIG)
+        swept = run_sweep(small_spec, CONFIG).cells[3]
         assert direct == swept
 
-    def test_arrival_kinds_all_run(self):
-        for kind in ("poisson", "bursty", "diurnal", "deterministic"):
-            spec = SweepSpec(
-                arrival_rates_hz=(0.1,),
-                fleet_sizes=(2,),
-                n_requests=15,
-                arrival_kind=kind,
-            )
-            result = run_sweep(spec)
-            assert len(result.cells) == 1
-            assert result.cells[0].summary.request_count == 15
+    def test_cell_runs_its_scenario(self, small_spec):
+        cell = expand_cells(small_spec)[5]
+        request_seed, run_seed = _cell_seeds(small_spec, cell, 0)
+        alone = cell.scenario.simulate(CONFIG, request_seed, run_seed)
+        assert run_cell(small_spec, cell, CONFIG).summary == alone.summary(slo_s=2.0)
 
-    def test_bursty_arrival_process_preserves_mean_rate(self):
-        spec = SweepSpec(arrival_kind="bursty", burst_factor=4.0)
-        process = spec.arrival_process(0.2)
-        assert process.mean_rate_hz() == pytest.approx(0.2)
-
-    def test_bursty_burst_length_is_tunable(self):
-        spec = SweepSpec(arrival_kind="bursty", burst_factor=4.0, burst_mean_requests=20.0)
-        process = spec.arrival_process(0.2)
-        # A burst at 4 x 0.2/s carrying 20 expected requests lasts 25 s.
-        assert process.mean_dwell_s[0] == pytest.approx(25.0)
-        assert process.mean_rate_hz() == pytest.approx(0.2)
-
-    def test_service_cv_enables_gamma_demands(self):
+    def test_arrival_families_all_run(self):
+        processes = (
+            PoissonArrivals(0.1),
+            MMPPArrivals.bursty(burst_rate_hz=0.5, mean_burst_s=20.0, mean_idle_s=80.0),
+            DiurnalArrivals(0.1, period_s=600.0),
+            DeterministicArrivals(10.0),
+        )
         spec = SweepSpec(
-            arrival_rates_hz=(0.1,), fleet_sizes=(1,), n_requests=30, service_cv=1.0
+            base(n_requests=15, n_devices=2), axes=(("arrivals", processes),)
         )
-        fixed = SweepSpec(arrival_rates_hz=(0.1,), fleet_sizes=(1,), n_requests=30)
-        assert run_sweep(spec).cells[0] != run_sweep(fixed).cells[0]
+        result = run_sweep(spec)
+        assert len(result.cells) == 4
+        assert all(c.summary.request_count == 15 for c in result.cells)
 
-    def test_discipline_and_bound_axes_expand_the_grid(self, small_spec):
-        from dataclasses import replace
-
-        spec = replace(
-            small_spec, disciplines=("immediate", "fifo"), queue_bounds=(None, 4)
+    def test_service_axis_changes_demands(self):
+        spec = SweepSpec(
+            base(n_requests=30),
+            axes=(("service", (GammaService(5.0, cv=1.0), FixedService(5.0))),),
         )
-        cells = expand_cells(spec)
-        # Redundant combinations are collapsed: immediate cells ignore the
-        # bound axis (8 = 2 policies x 2 rates x 2 fleets), central cells
-        # ignore the policy axis (8 = 2 rates x 2 fleets x 2 bounds).
-        assert len(cells) == 16
-        assert {c.discipline for c in cells} == {"immediate", "fifo"}
-        assert {c.queue_bound for c in cells if c.discipline == "fifo"} == {None, 4}
-        assert all(c.queue_bound is None for c in cells if c.discipline == "immediate")
-        assert {c.policy for c in cells if c.discipline == "fifo"} == {"round_robin"}
-        assert [c.index for c in cells] == list(range(16))
-
-    def test_default_axes_reproduce_legacy_enumeration(self, small_spec):
-        """With the new axes at their defaults the grid (and so every
-        cell's dispatch seed) must be exactly the legacy enumeration."""
-        cells = expand_cells(small_spec)
-        legacy = [
-            (policy, rate, size)
-            for policy in small_spec.policies
-            for rate in small_spec.arrival_rates_hz
-            for size in small_spec.fleet_sizes
-        ]
-        assert [(c.policy, c.arrival_rate_hz, c.n_devices) for c in cells] == legacy
+        gamma, fixed = run_sweep(spec).cells
+        assert gamma.summary != fixed.summary
 
     def test_central_queue_cells_run_and_report_lifecycle(self):
         spec = SweepSpec(
-            arrival_rates_hz=(1.0,),
-            fleet_sizes=(2,),
-            disciplines=("fifo", "edf"),
-            queue_bounds=(2,),
-            n_requests=40,
-            deadline_s=20.0,
+            base(
+                arrivals=PoissonArrivals(1.0),
+                n_requests=40,
+                n_devices=2,
+                mode="central_queue",
+                queue_bound=2,
+                deadline_s=20.0,
+            ),
+            axes=(("discipline", ("fifo", "edf")),),
         )
         result = run_sweep(spec)
         assert len(result.cells) == 2
@@ -177,12 +241,9 @@ class TestSweepExecution:
             assert s.request_count + s.rejected_count + s.abandoned_count == 40
             assert s.rejected_count > 0  # overloaded bounded queue must shed
 
-    def test_deadline_knob_reaches_requests(self):
+    def test_deadline_reaches_requests(self):
         spec = SweepSpec(
-            arrival_rates_hz=(0.5,),
-            fleet_sizes=(1,),
-            n_requests=20,
-            deadline_s=1.0,
+            base(arrivals=PoissonArrivals(0.5), n_requests=20, deadline_s=1.0)
         )
         result = run_sweep(spec)
         # Immediate mode never abandons, but completion-past-deadline
@@ -191,7 +252,9 @@ class TestSweepExecution:
 
     def test_sprint_disabled_sweeps_are_slower(self, small_spec):
         sprint = run_sweep(small_spec)
-        sustained = run_sweep(small_spec.with_sprint_enabled(False))
+        sustained = run_sweep(
+            replace(small_spec, base=small_spec.base.with_options(sprint_enabled=False))
+        )
         mean_sprint = np.mean([c.summary.p50_latency_s for c in sprint.cells])
         mean_sustained = np.mean([c.summary.p50_latency_s for c in sustained.cells])
         assert mean_sprint < mean_sustained
@@ -201,8 +264,10 @@ class TestSweepResult:
     def test_filtered(self, small_spec):
         result = run_sweep(small_spec)
         subset = result.filtered(policy="round_robin", n_devices=2)
-        assert len(subset) == len(small_spec.arrival_rates_hz)
-        assert all(c.cell.policy == "round_robin" for c in subset)
+        assert len(subset) == 2
+        assert all(c.cell.scenario.policy == "round_robin" for c in subset)
+        with pytest.raises(ValueError, match="unknown scenario fields"):
+            result.filtered(fleet_size=2)
 
     def test_best_cell(self, small_spec):
         result = run_sweep(small_spec)
@@ -216,49 +281,41 @@ class TestSweepResult:
         table = run_sweep(small_spec).format_table()
         assert "dispatch" in table
         assert "rej" in table
+        assert "0.200/s" in table
         assert len(table.splitlines()) == 9
 
 
 class TestValidation:
     def test_spec_validation(self):
+        with pytest.raises(TypeError):
+            SweepSpec(base=None)
+        with pytest.raises(ValueError, match="at least one value"):
+            SweepSpec(base(), axes=(("policy", ()),))
+        with pytest.raises(ValueError, match="unknown scenario fields"):
+            SweepSpec(base(), axes=(("fleet_sizes", (1, 2)),))
+        with pytest.raises(ValueError, match="one axis"):
+            SweepSpec(base(), axes=(("n_devices", (1,)), ("n_devices", (2,))))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("policy", "nope"),
+            ("mode", "fluid"),
+            ("discipline", "lifo"),
+            ("queue_bound", -1),
+            ("n_devices", 0),
+            ("n_requests", 0),
+            ("deadline_s", 0.0),
+            ("slo_s", 0.0),
+            ("sprint_speedup", 0.5),
+            ("engine", "warp"),
+        ],
+    )
+    def test_axis_values_validate_as_scenarios(self, field, value):
+        """Every cell is a Scenario, so a bad axis value fails at spec
+        construction — never inside a worker process."""
         with pytest.raises(ValueError):
-            SweepSpec(policies=())
-        with pytest.raises(ValueError):
-            SweepSpec(policies=("nope",))
-        with pytest.raises(ValueError):
-            SweepSpec(arrival_kind="weird")
-        with pytest.raises(ValueError):
-            SweepSpec(arrival_rates_hz=(0.0,))
-        with pytest.raises(ValueError):
-            SweepSpec(fleet_sizes=(0,))
-        with pytest.raises(ValueError):
-            SweepSpec(n_requests=0)
-        with pytest.raises(ValueError):
-            SweepSpec(arrival_kind="bursty", burst_factor=1.0)
-        with pytest.raises(ValueError):
-            SweepSpec(arrival_kind="bursty", burst_mean_requests=0.0)
-        # Burst knobs are only read (and so only validated) for bursty kinds.
-        SweepSpec(arrival_kind="poisson", burst_factor=1.0)
-        with pytest.raises(ValueError):
-            SweepSpec(disciplines=())
-        with pytest.raises(ValueError):
-            SweepSpec(disciplines=("lifo",))
-        with pytest.raises(ValueError):
-            SweepSpec(queue_bounds=(-1,))
-        with pytest.raises(ValueError):
-            SweepSpec(deadline_s=0.0)
-        with pytest.raises(ValueError):
-            SweepSpec(service_cv=-0.5)
-        with pytest.raises(ValueError):
-            SweepSpec(slo_s=0.0)
-        with pytest.raises(ValueError):
-            SweepSpec(sprint_speedup=0.5)
-        with pytest.raises(ValueError):
-            SweepSpec(arrival_kind="diurnal", diurnal_amplitude=1.0)
-        with pytest.raises(ValueError):
-            SweepSpec(arrival_kind="diurnal", diurnal_period_s=0.0)
-        # Diurnal knobs are only validated when the diurnal kind reads them.
-        SweepSpec(arrival_kind="poisson", diurnal_amplitude=1.0)
+            SweepSpec(base(mode="central_queue"), axes=((field, (value,)),))
 
     def test_worker_validation(self, small_spec):
         with pytest.raises(ValueError):
@@ -266,9 +323,9 @@ class TestValidation:
 
     def test_replication_validation(self):
         with pytest.raises(ValueError):
-            SweepSpec(replications=0)
+            SweepSpec(base(), replications=0)
         with pytest.raises(ValueError):
-            SweepSpec(pairing="antithetic")
+            SweepSpec(base(), pairing="antithetic")
 
 
 class TestReplicationAxis:
@@ -277,20 +334,21 @@ class TestReplicationAxis:
     @pytest.fixture(scope="class")
     def replicated_spec(self):
         return SweepSpec(
-            policies=("least_loaded",),
-            arrival_rates_hz=(0.1, 0.3),
-            fleet_sizes=(2,),
-            n_requests=20,
-            service_cv=0.8,
-            slo_s=2.0,
+            base(n_requests=20, service=GammaService(5.0, cv=0.8), slo_s=2.0),
+            axes=(("arrivals", poisson(0.1, 0.3)), ("n_devices", (2,))),
             base_seed=5,
             replications=3,
         )
 
-    def test_single_replication_sweep_is_bit_identical_to_legacy(self, small_spec):
-        """``replications=1`` replays exactly the pre-replication streams."""
-        legacy = run_sweep(small_spec, CONFIG)
-        for result in legacy.cells:
+    @staticmethod
+    def with_sizes(spec, *sizes, **changes):
+        axes = tuple(a for a in spec.axes if a[0] != "n_devices")
+        return replace(spec, axes=axes + (("n_devices", sizes),), **changes)
+
+    def test_single_replication_sweep_replays_the_single_run_streams(self, small_spec):
+        """``replications=1`` replays exactly the single-run streams."""
+        single = run_sweep(small_spec, CONFIG)
+        for result in single.cells:
             rerun = run_cell(small_spec, result.cell, CONFIG, replication=0)
             assert rerun.summary == result.summary
             assert result.replicates == ()
@@ -318,10 +376,10 @@ class TestReplicationAxis:
     def test_crn_pairs_cells_per_replication(self, replicated_spec):
         """Under CRN, cells differing only in fleet size share request
         streams replication by replication — offered counts match."""
-        spec = replace(replicated_spec, fleet_sizes=(1, 2))
+        spec = self.with_sizes(replicated_spec, 1, 2)
         result = run_sweep(spec, CONFIG)
-        for rate in spec.arrival_rates_hz:
-            cells = result.filtered(arrival_rate_hz=rate)
+        for arrivals in poisson(0.1, 0.3):
+            cells = result.filtered(arrivals=arrivals)
             assert len(cells) == 2
             for a, b in zip(cells[0].summaries, cells[1].summaries):
                 assert a.offered_count == b.offered_count
@@ -330,9 +388,9 @@ class TestReplicationAxis:
         """Independent seeding gives each cell its own replication streams
         — every replication, including 0; makespans (a fingerprint of the
         arrival draw) diverge pairwise."""
-        spec = replace(replicated_spec, fleet_sizes=(1, 2), pairing="independent")
+        spec = self.with_sizes(replicated_spec, 1, 2, pairing="independent")
         result = run_sweep(spec, CONFIG)
-        cells = result.filtered(arrival_rate_hz=spec.arrival_rates_hz[0])
+        cells = result.filtered(arrivals=PoissonArrivals(0.1))
         paired_makespans = [
             (a.makespan_s, b.makespan_s)
             for a, b in zip(cells[0].summaries, cells[1].summaries)
@@ -341,26 +399,22 @@ class TestReplicationAxis:
 
     def test_replication_seed_universes_never_collide(self, replicated_spec):
         """Request and dispatch streams stay disjoint even where
-        cell.index equals a stream-key word (cell 0 at rate index 0), and
+        cell.index equals a stream-key word (cell 0 at stream 0), and
         dispatch streams are unique per (cell, replication).  Request
         streams may be shared across cells — that is what CRN pairing
         means — but never with a dispatch stream."""
-        from repro.traffic.sweep import _cell_seeds, expand_cells
-
         for pairing in ("crn", "independent"):
-            spec = replace(
-                replicated_spec, fleet_sizes=(1, 2), pairing=pairing
-            )
+            spec = self.with_sizes(replicated_spec, 1, 2, pairing=pairing)
             requests_seen, dispatch_seen = set(), set()
             for cell in expand_cells(spec):
                 for r in range(spec.replications):
                     request_seed, run_seed = _cell_seeds(spec, cell, r)
                     req, run = tuple(request_seed.entropy), tuple(run_seed.entropy)
                     if pairing == "crn" and r == 0:
-                        # Replication 0 under CRN replays the legacy
+                        # Replication 0 under CRN replays the single-run
                         # streams, whose keys may coincide where
-                        # cell.index == rate_idx (benign: the request side
-                        # spawns child streams before drawing, and the
+                        # cell.index == stream key (benign: the request
+                        # side spawns child streams before drawing, and the
                         # scheme is frozen by bit-identity locks).
                         continue
                     assert req != run
@@ -375,17 +429,13 @@ class TestReplicationAxis:
 
     def test_deterministic_cells_collapse(self):
         spec = SweepSpec(
-            policies=("round_robin", "random"),
-            arrival_rates_hz=(0.1,),
-            fleet_sizes=(2,),
-            n_requests=10,
-            arrival_kind="deterministic",
-            service_cv=0.0,
+            base(arrivals=DeterministicArrivals(10.0), n_requests=10, n_devices=2),
+            axes=(("policy", ("round_robin", "random")),),
             replications=4,
             base_seed=3,
         )
         result = run_sweep(spec, CONFIG)
-        by_policy = {r.cell.policy: r for r in result.cells}
+        by_policy = {r.cell.scenario.policy: r for r in result.cells}
         # Deterministic arrivals + fixed service: only the random policy
         # still consumes randomness, so only it replicates.
         assert by_policy["round_robin"].collapsed
@@ -399,7 +449,7 @@ class TestReplicationAxis:
         assert "±95%" in table
 
     def test_estimate_rejects_unset_fields(self, replicated_spec):
-        spec = replace(replicated_spec, slo_s=None)
+        spec = replace(replicated_spec, base=replicated_spec.base.with_options(slo_s=None))
         result = run_sweep(spec, CONFIG)
         with pytest.raises(ValueError):
             result.cells[0].estimate("slo_attainment")

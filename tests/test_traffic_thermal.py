@@ -24,11 +24,12 @@ from repro.traffic import (
     GovernorSpec,
     MMPPArrivals,
     PoissonArrivals,
+    Scenario,
     SweepSpec,
-    expand_cells,
     generate_requests,
     run_sweep,
 )
+from repro.traffic.sweep import expand_cells
 
 #: (policy, mode, governor) -> (sum of latencies, max latency, total stored
 #: heat across devices, served count), produced by the pre-backend code.
@@ -204,83 +205,62 @@ class TestFidelityGap:
         assert summaries["pcm"].mean_latency_s != linear.mean_latency_s
 
 
+def thermal_sweep(thermals, n_requests=200, rates=(0.1,), **options):
+    base = Scenario(
+        arrivals=PoissonArrivals(rates[0]),
+        service=FixedService(5.0),
+        n_requests=n_requests,
+        n_devices=2,
+        **options,
+    )
+    return SweepSpec(
+        base,
+        axes=(
+            ("arrivals", tuple(PoissonArrivals(r) for r in rates)),
+            ("thermal", thermals),
+        ),
+    )
+
+
 class TestSweepThermalAxis:
     def test_thermal_axis_multiplies_the_grid(self):
-        spec = SweepSpec(
-            arrival_rates_hz=(0.1,),
-            fleet_sizes=(2,),
-            thermals=("linear", "rc", "pcm"),
-        )
-        cells = expand_cells(spec)
+        cells = expand_cells(thermal_sweep(("linear", "rc", "pcm")))
         assert len(cells) == 3
-        assert [c.thermal.backend for c in cells] == ["linear", "rc", "pcm"]
+        assert [c.scenario.thermal.backend for c in cells] == ["linear", "rc", "pcm"]
 
     def test_backend_names_normalised_to_specs(self):
-        spec = SweepSpec(thermals=("rc",))
-        assert spec.thermals == (ThermalSpec.rc(),)
+        (cell,) = expand_cells(thermal_sweep(("rc",)))
+        assert cell.scenario.thermal == ThermalSpec.rc()
 
     def test_duplicate_thermals_collapse(self):
-        spec = SweepSpec(
-            arrival_rates_hz=(0.1,),
-            fleet_sizes=(2,),
-            thermals=("linear", ThermalSpec.linear(), "pcm", "pcm"),
-        )
+        spec = thermal_sweep(("linear", ThermalSpec.linear(), "pcm", "pcm"))
         cells = expand_cells(spec)
-        assert [c.thermal.backend for c in cells] == ["linear", "pcm"]
+        assert [c.scenario.thermal.backend for c in cells] == ["linear", "pcm"]
 
     def test_sprint_disabled_sweep_keeps_only_first_thermal(self):
-        spec = SweepSpec(
-            arrival_rates_hz=(0.1,),
-            fleet_sizes=(2,),
-            thermals=("linear", "rc", "pcm"),
-            sprint_enabled=False,
-        )
+        spec = thermal_sweep(("linear", "rc", "pcm"), sprint_enabled=False)
         cells = expand_cells(spec)
         assert len(cells) == 1
-        assert cells[0].thermal == ThermalSpec.linear()
+        assert cells[0].scenario.thermal == ThermalSpec.linear()
 
     def test_empty_thermal_axis_rejected(self):
         with pytest.raises(ValueError, match="at least one value"):
-            SweepSpec(thermals=())
-
-    def test_default_axes_preserve_legacy_enumeration(self):
-        """A spec not using the thermal axis must enumerate exactly as
-        before the axis existed (seed stability)."""
-        spec = SweepSpec(
-            policies=("least_loaded", "round_robin"),
-            arrival_rates_hz=(0.05, 0.1),
-            fleet_sizes=(1, 2),
-        )
-        cells = expand_cells(spec)
-        assert len(cells) == 8
-        assert all(c.thermal == ThermalSpec.linear() for c in cells)
-        assert [c.index for c in cells] == list(range(8))
+            thermal_sweep(())
 
     def test_sweep_runs_and_filters_by_backend(self, config):
-        spec = SweepSpec(
-            arrival_rates_hz=(0.2,),
-            fleet_sizes=(2,),
-            thermals=("linear", "rc", "pcm"),
-            n_requests=40,
-            service_mean_s=5.0,
-        )
+        spec = thermal_sweep(("linear", "rc", "pcm"), n_requests=40, rates=(0.2,))
         result = run_sweep(spec, config)
         assert len(result.cells) == 3
-        rc_cells = result.filtered(thermal_backend="rc")
+        rc_cells = result.filtered(thermal=ThermalSpec.rc())
         assert len(rc_cells) == 1
-        assert rc_cells[0].cell.thermal == ThermalSpec.rc()
+        assert rc_cells[0].cell.scenario.thermal == ThermalSpec.rc()
         table = result.format_table()
         assert "thermal" in table
         assert "pcm" in table
 
     def test_sweep_parallel_matches_serial_with_thermal_axis(self, config):
         """ThermalSpec must cross process boundaries intact (pickling)."""
-        spec = SweepSpec(
-            arrival_rates_hz=(0.1, 0.3),
-            fleet_sizes=(2,),
-            thermals=("linear", "pcm"),
-            n_requests=30,
-        )
+        spec = thermal_sweep(("linear", "pcm"), n_requests=30, rates=(0.1, 0.3))
         serial = run_sweep(spec, config, workers=1)
         parallel = run_sweep(spec, config, workers=2)
         assert serial.cells == parallel.cells

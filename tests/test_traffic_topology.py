@@ -31,11 +31,10 @@ from repro.traffic import (
     SweepSpec,
     TelemetrySpec,
     TopologySpec,
-    expand_cells,
     generate_requests,
-    run_cell,
     run_replications,
 )
+from repro.traffic.sweep import expand_cells, run_cell
 from repro.traffic.topology import (
     CascadeGovernor,
     apportion_slots,
@@ -102,12 +101,10 @@ class TestSpecValidation:
         assert labels[-1] == "row1/rack1/dev1"
         assert len(labels) == topo.total_devices == 8
 
-    def test_fleet_rejects_second_governor_and_fluid(self):
+    def test_fleet_rejects_second_governor(self):
         topo = TopologySpec.flat(4)
         with pytest.raises(ValueError, match="governor"):
             FleetSimulator(CONFIG, topology=topo, governor=GovernorSpec.greedy(2))
-        with pytest.raises(ValueError, match="fluid"):
-            FleetSimulator(CONFIG, topology=TopologySpec.uniform(1, 2, 2), mode="fluid")
 
 
 class TestApportionment:
@@ -346,30 +343,38 @@ class TestGridAndExperiments:
     def test_sweep_topology_axis_collapses_redundant_cells(self):
         topo = TopologySpec.uniform(1, 2, 4, rack_governor=GovernorSpec.greedy(2))
         spec = SweepSpec(
-            policies=("round_robin",),
-            arrival_rates_hz=(0.5,),
-            fleet_sizes=(4, 8),
-            governors=(GovernorSpec(), GovernorSpec.greedy(2)),
-            topologies=(None, topo),
-            n_requests=40,
+            Scenario(
+                arrivals=PoissonArrivals(0.5),
+                service=GammaService(5.0, cv=0.5),
+                n_requests=40,
+                policy="round_robin",
+            ),
+            axes=(
+                ("n_devices", (4, 8)),
+                ("governor", (GovernorSpec(), GovernorSpec.greedy(2))),
+                ("topology", (None, topo)),
+            ),
         )
         cells = expand_cells(spec)
-        flat = [c for c in cells if c.topology is None]
-        hierarchical = [c for c in cells if c.topology is not None]
+        flat = [c for c in cells if c.scenario.topology is None]
+        hierarchical = [c for c in cells if c.scenario.topology is not None]
         # Flat cells keep the full size x governor grid; topology cells
         # take size and budgets from the spec, so those axes collapse.
         assert len(flat) == 4
         assert len(hierarchical) == 1
-        assert hierarchical[0].n_devices == topo.total_devices
+        assert hierarchical[0].scenario.n_devices == topo.total_devices
+        assert hierarchical[0].scenario.governor == GovernorSpec()
 
     def test_sweep_topology_cell_runs(self):
         topo = TopologySpec.uniform(1, 2, 2, rack_governor=GovernorSpec.greedy(1))
         spec = SweepSpec(
-            policies=("round_robin",),
-            arrival_rates_hz=(0.5,),
-            fleet_sizes=(4,),
-            topologies=(topo,),
-            n_requests=30,
+            Scenario(
+                arrivals=PoissonArrivals(0.5),
+                service=GammaService(5.0, cv=0.5),
+                n_requests=30,
+                policy="round_robin",
+            ),
+            axes=(("topology", (topo,)),),
         )
         (cell,) = expand_cells(spec)
         outcome = run_cell(spec, cell, CONFIG)

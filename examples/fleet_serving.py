@@ -177,7 +177,7 @@ def dispatch_policy_sweep(config: SystemConfig) -> None:
     """Policy × fleet-size grid under bursty on-off traffic, run in parallel."""
     print("-- dispatch policies under bursty traffic (parallel sweep) --")
     base = Scenario(
-        arrivals=MMPPArrivals.bursty_at_rate(0.15, burst_factor=5.0),
+        arrivals=MMPPArrivals.bursty_at_rate(0.15),
         service=FixedService(TASK_SUSTAINED_S),
         n_requests=REQUESTS,
         sprint_speedup=SPRINT_SPEEDUP,

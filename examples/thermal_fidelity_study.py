@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from repro import SystemConfig
 from repro.core.thermal_backend import THERMAL_BACKENDS, ThermalSpec
+from repro.traffic.arrivals import BURST_FACTOR
 from repro.traffic import (
     FleetSimulator,
     GammaService,
@@ -50,7 +51,6 @@ SERVICE_CV = 0.5
 FLEET_SIZE = 4
 REQUESTS = 400
 ARRIVAL_RATES_HZ = (0.2, 0.4, 0.8)
-BURST_FACTOR = 5.0
 RECOVERY_HORIZONS_S = (2.0, 5.0, 10.0, 20.0, 40.0)
 SWEEP_WORKERS = 4
 
@@ -139,14 +139,8 @@ def p99_misprediction_study(config: SystemConfig) -> None:
         f"{'peak melt':>10} {'linear err':>11}"
     )
     for rate in ARRIVAL_RATES_HZ:
-        mean_burst_s = 10.0 / (BURST_FACTOR * rate)
-        arrivals = MMPPArrivals.bursty(
-            burst_rate_hz=BURST_FACTOR * rate,
-            mean_burst_s=mean_burst_s,
-            mean_idle_s=mean_burst_s * (BURST_FACTOR - 1.0),
-        )
         requests = generate_requests(
-            arrivals,
+            MMPPArrivals.bursty_at_rate(rate),
             GammaService(mean_s=TASK_SUSTAINED_S, cv=SERVICE_CV),
             REQUESTS,
             seed=13,
@@ -180,15 +174,13 @@ def thermal_grid_sweep(config: SystemConfig) -> None:
     """The thermals axis in the scenario sweep, fanned across processes."""
     print("-- thermal grid (parallel sweep over the thermals axis) --")
     base = Scenario(
-        arrivals=MMPPArrivals.bursty_at_rate(ARRIVAL_RATES_HZ[0], BURST_FACTOR),
+        arrivals=MMPPArrivals.bursty_at_rate(ARRIVAL_RATES_HZ[0]),
         service=GammaService(mean_s=TASK_SUSTAINED_S, cv=SERVICE_CV),
         n_requests=REQUESTS,
         n_devices=FLEET_SIZE,
         policy="thermal_aware",
     )
-    arrivals = tuple(
-        MMPPArrivals.bursty_at_rate(rate, BURST_FACTOR) for rate in ARRIVAL_RATES_HZ
-    )
+    arrivals = tuple(MMPPArrivals.bursty_at_rate(rate) for rate in ARRIVAL_RATES_HZ)
     thermals = tuple(ThermalSpec(backend=name) for name in THERMAL_BACKENDS)
     spec = SweepSpec(
         base, axes=(("arrivals", arrivals), ("thermal", thermals)), base_seed=13

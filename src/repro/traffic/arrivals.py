@@ -79,6 +79,12 @@ DEFAULT_CHUNK = 65_536
 #: depend on how the stream is re-sliced for delivery.
 _PIECE = 65_536
 
+#: Burst shape of :meth:`MMPPArrivals.bursty_at_rate`: bursts run at this
+#: multiple of the mean rate ...
+BURST_FACTOR = 5.0
+#: ... and carry this many requests on average.
+BURST_MEAN_REQUESTS = 10.0
+
 
 def _check_chunk(chunk_size: int) -> None:
     if chunk_size < 1:
@@ -276,29 +282,21 @@ class MMPPArrivals(ArrivalProcess):
         return cls(rates_hz=(burst_rate_hz, 0.0), mean_dwell_s=(mean_burst_s, mean_idle_s))
 
     @classmethod
-    def bursty_at_rate(
-        cls,
-        mean_rate_hz: float,
-        burst_factor: float = 5.0,
-        burst_mean_requests: float = 10.0,
-    ) -> "MMPPArrivals":
+    def bursty_at_rate(cls, mean_rate_hz: float) -> "MMPPArrivals":
         """On-off bursts that preserve a long-run mean rate.
 
-        Bursts run at ``burst_factor`` times ``mean_rate_hz``, last long
-        enough to carry ``burst_mean_requests`` expected requests, and
-        occupy ``1 / burst_factor`` of the time, so sweeping
-        ``mean_rate_hz`` moves the load while the burst shape stays put.
+        Bursts run at :data:`BURST_FACTOR` times ``mean_rate_hz``, last
+        long enough to carry :data:`BURST_MEAN_REQUESTS` expected requests,
+        and occupy ``1 / BURST_FACTOR`` of the time, so sweeping
+        ``mean_rate_hz`` moves the load while the burst shape stays put
+        (:meth:`bursty` builds any other shape).
         """
         if not 0.0 < mean_rate_hz < math.inf:
             raise ValueError("mean arrival rate must be positive and finite")
-        if not 1.0 < burst_factor < math.inf:
-            raise ValueError("burst factor must exceed 1 (burst rate above mean)")
-        if not 0.0 < burst_mean_requests < math.inf:
-            raise ValueError("mean requests per burst must be positive and finite")
-        mean_burst_s = burst_mean_requests / (burst_factor * mean_rate_hz)
-        mean_idle_s = mean_burst_s * (burst_factor - 1.0)
+        mean_burst_s = BURST_MEAN_REQUESTS / (BURST_FACTOR * mean_rate_hz)
+        mean_idle_s = mean_burst_s * (BURST_FACTOR - 1.0)
         return cls.bursty(
-            burst_rate_hz=burst_factor * mean_rate_hz,
+            burst_rate_hz=BURST_FACTOR * mean_rate_hz,
             mean_burst_s=mean_burst_s,
             mean_idle_s=mean_idle_s,
         )

@@ -260,11 +260,23 @@ class Scenario:
             raise ValueError("SLO must be positive (or None)")
         # Normalise names to frozen specs so scenarios stay hashable and
         # equal whenever they mean the same experiment.
-        if isinstance(self.governor, str):
-            object.__setattr__(self, "governor", GovernorSpec(policy=self.governor))
-        if isinstance(self.thermal, str):
-            object.__setattr__(self, "thermal", ThermalSpec(backend=self.thermal))
+        for name in ("governor", "thermal"):
+            object.__setattr__(self, name, self.stored_value(name, getattr(self, name)))
         resolve_telemetry(self.telemetry, self.keep_samples)  # fail fast
+
+    @staticmethod
+    def stored_value(field: str, value):
+        """The value a scenario stores when ``field`` is set to ``value``.
+
+        Governor and thermal names become their frozen specs; every other
+        value is stored as given.
+        """
+        if isinstance(value, str):
+            if field == "governor":
+                return GovernorSpec(policy=value)
+            if field == "thermal":
+                return ThermalSpec(backend=value)
+        return value
 
     def with_options(self, **changes) -> "Scenario":
         """A treatment variant of this scenario (``dataclasses.replace``)."""

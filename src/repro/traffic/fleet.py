@@ -513,8 +513,9 @@ class FleetSimulator:
         (:attr:`~repro.traffic.engine.ServingEngine.fast_path_reason` is
         ``None``) with ``keep_samples=False`` the whole run stays in
         vectorized block processing with flat memory; otherwise requests
-        are materialised chunk by chunk and served exactly.  A non-flat ``topology`` fleet materialises the stream and runs
-        sharded — rack dispatch plans over the whole stream upfront.
+        are materialised chunk by chunk and served exactly.  A non-flat
+        ``topology`` fleet materialises the stream and runs sharded — rack
+        dispatch plans over the whole stream upfront.
         """
         if self._sharded:
             from repro.traffic.shard import run_sharded

@@ -2,7 +2,7 @@
 
 A topology run (:mod:`repro.traffic.topology`) simulates each rack on its
 own :class:`~repro.traffic.engine.ServingEngine`, fanned across the worker
-pool of :func:`repro.traffic.sweep.pool_map`.  The coupling between racks —
+pool of :func:`repro.traffic.experiments.pool_map`.  The coupling between racks —
 shared row/datacenter power budgets and the fleet-level rack dispatch — is
 resolved *before* any shard runs, from the arrival stream alone:
 
@@ -358,13 +358,13 @@ def run_sharded(
     ``sim`` is a :class:`~repro.traffic.fleet.FleetSimulator` constructed
     with a non-flat ``topology``.  The run plans rack dispatch and parent
     budget slices upfront (module docstring), fans one job per rack over
-    :func:`~repro.traffic.sweep.pool_map`, and merges shard results into a
+    :func:`~repro.traffic.experiments.pool_map`, and merges shard results into a
     single :class:`~repro.traffic.fleet.FleetResult` whose
     ``topology_stats`` carries the per-level grant ledgers.  Results are
     bit-identical for any ``workers`` value.
     """
     from repro.traffic.fleet import FleetResult
-    from repro.traffic.sweep import pool_map
+    from repro.traffic.experiments import pool_map
 
     topology: TopologySpec = sim.topology
     ordered = sorted(requests, key=lambda r: (r.arrival_s, r.index))

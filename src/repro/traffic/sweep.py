@@ -24,7 +24,8 @@ comparisons along every other axis are paired.
 Redundant cells collapse, so no scenario is ever simulated twice:
 
 * immediate-dispatch cells ignore the ``discipline`` and ``queue_bound``
-  axes, and central-queue cells ignore ``policy`` (first value kept);
+  axes (they report the defaults, ``"fifo"`` and no bound), and
+  central-queue cells ignore ``policy`` (first value kept);
 * a sprint-disabled cell ignores the ``governor`` and ``thermal`` axes (a
   fleet that never sprints deposits no heat and asks for no grant);
 * a topology cell takes its device count and budgets from its
@@ -67,13 +68,11 @@ from repro.traffic.metrics import MetricEstimate, TrafficSummary, mean_ci
 from repro.traffic.telemetry import RunTelemetry, TrafficTelemetry
 
 __all__ = [
-    "PAIRING_MODES",
     "CellResult",
     "SweepCell",
     "SweepResult",
     "SweepSpec",
     "expand_cells",
-    "pool_map",
     "run_cell",
     "run_sweep",
 ]
@@ -227,55 +226,77 @@ class CellResult:
         return mean_ci(values, confidence=confidence)
 
 
-def _ignored_fields(settings: dict) -> set[str]:
-    """Scenario fields that cannot change the outcome of these settings."""
-    ignored = set()
-    if settings["mode"] == "immediate":
-        ignored |= {"discipline", "queue_bound"}
-    else:
-        ignored.add("policy")
-    if not settings["sprint_enabled"]:
-        ignored |= {"governor", "thermal"}
-    if settings["topology"] is not None:
-        ignored |= {"n_devices", "governor"}
-    return ignored
+#: What an immediate-dispatch cell reports for the queue fields it never
+#: reads (the scenario defaults: no queue to discipline or bound).
+_IMMEDIATE_QUEUE = {"discipline": "fifo", "queue_bound": None}
+
+
+def _first_equal_indices(name: str, values: tuple) -> list[int]:
+    """Map each axis value to the index of the first value equal to it.
+
+    Values compare as the scenario stores them, so ``"rc"`` and
+    ``ThermalSpec(backend="rc")`` are one value.  Axes are short, so the
+    pairwise scan is cheap, and it needs no hashing (a
+    :class:`~repro.traffic.request.SuiteService` is unhashable).
+    """
+    stored = [Scenario.stored_value(name, value) for value in values]
+    return [stored.index(value) for value in stored]
 
 
 def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     """Enumerate the grid in axis order, collapsing redundant cells.
 
     A cell's value on an axis its settings ignore (see the module
-    docstring) is pinned to that axis's first value; a topology cell
-    additionally takes its device count from the topology and runs
-    ungoverned at the fleet level (its budgets live on the topology's
-    nodes).  A cell whose resulting scenario was already enumerated is
-    dropped, so every cell is the first occurrence of its scenario and
-    indices stay dense.
+    docstring) is pinned to that axis's first value, except that an
+    immediate-dispatch cell reports the default ``discipline="fifo"`` and
+    ``queue_bound=None``; a topology cell takes its device count from the
+    topology and runs ungoverned at the fleet level (its budgets live on
+    the topology's nodes).  Every cell is keyed by, per axis, the index of
+    the first value equal to its own (a pinned axis keys as one fixed
+    value), and a cell whose key was already enumerated is dropped, so
+    every cell is the first occurrence of its scenario, indices stay
+    dense, and enumeration is linear in the grid size.
     """
     names = [name for name, _ in spec.axes]
     firsts = {name: values[0] for name, values in spec.axes}
+    canonical = [_first_equal_indices(name, values) for name, values in spec.axes]
     defaults = {name: getattr(spec.base, name) for name in _SCENARIO_FIELDS}
     stream_axes = [i for i, name in enumerate(names) if name in _STREAM_FIELDS]
     cells: list[SweepCell] = []
-    # A list, not a set: a scenario holding a mutable service model (such
-    # as SuiteService) is not hashable.
-    seen: list[Scenario] = []
-    for combo in itertools.product(*(enumerate(values) for _, values in spec.axes)):
-        overrides = {name: value for name, (_, value) in zip(names, combo)}
+    seen: set[tuple[int, ...]] = set()
+    for combo in itertools.product(*(range(len(values)) for _, values in spec.axes)):
+        overrides = {name: values[i] for (name, values), i in zip(spec.axes, combo)}
+        key = [canon[i] for canon, i in zip(canonical, combo)]
         settings = {**defaults, **overrides}
-        for name in _ignored_fields(settings) & firsts.keys():
-            overrides[name] = firsts[name]
+        pinned = {}
+        if settings["mode"] == "immediate":
+            pinned.update(_IMMEDIATE_QUEUE)
+        else:
+            pinned["policy"] = firsts.get("policy", settings["policy"])
+        if not settings["sprint_enabled"]:
+            pinned["governor"] = firsts.get("governor", settings["governor"])
+            pinned["thermal"] = firsts.get("thermal", settings["thermal"])
         if settings["topology"] is not None:
-            overrides["n_devices"] = settings["topology"].total_devices
-            overrides["governor"] = GovernorSpec()
-        scenario = spec.base.with_options(**overrides)
-        if scenario in seen:
+            pinned["n_devices"] = settings["topology"].total_devices
+            pinned["governor"] = GovernorSpec()
+        for axis, name in enumerate(names):
+            if name in pinned:
+                key[axis] = 0
+        key = tuple(key)
+        if key in seen:
             continue
-        seen.append(scenario)
+        seen.add(key)
+        overrides.update(pinned)
         stream = 0
         for i in stream_axes:
-            stream = stream * len(spec.axes[i][1]) + combo[i][0]
-        cells.append(SweepCell(index=len(cells), stream_key=(stream,), scenario=scenario))
+            stream = stream * len(spec.axes[i][1]) + combo[i]
+        cells.append(
+            SweepCell(
+                index=len(cells),
+                stream_key=(stream,),
+                scenario=spec.base.with_options(**overrides),
+            )
+        )
     return cells
 
 
@@ -367,14 +388,19 @@ class SweepResult:
 
     def filtered(self, **fields) -> list[CellResult]:
         """Cells whose scenario has every given field value, e.g.
-        ``filtered(policy="round_robin", n_devices=2)``."""
+        ``filtered(policy="round_robin", n_devices=2)``.
+
+        Values match as the scenario stores them, so ``thermal="rc"``
+        selects the cells whose thermal spec is ``ThermalSpec("rc")``.
+        """
         unknown = sorted(set(fields) - _SCENARIO_FIELDS)
         if unknown:
             raise ValueError(f"unknown scenario fields: {unknown}")
+        wanted = {k: Scenario.stored_value(k, v) for k, v in fields.items()}
         return [
             result
             for result in self.cells
-            if all(getattr(result.cell.scenario, k) == v for k, v in fields.items())
+            if all(getattr(result.cell.scenario, k) == v for k, v in wanted.items())
         ]
 
     def best_cell(self, key: str = "p99_latency_s") -> CellResult:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.traffic.arrivals import (
+    BURST_FACTOR,
+    BURST_MEAN_REQUESTS,
     DeterministicArrivals,
     DiurnalArrivals,
     MMPPArrivals,
@@ -65,21 +67,15 @@ class TestArrivalProcesses:
         cv = gaps.std() / gaps.mean()
         assert cv > 1.5
 
-    def test_bursty_at_rate_preserves_mean_rate(self):
-        process = MMPPArrivals.bursty_at_rate(0.2, burst_factor=4.0)
+    def test_bursty_at_rate_preserves_mean_rate_with_fixed_burst_shape(self):
+        process = MMPPArrivals.bursty_at_rate(0.2)
         assert process.mean_rate_hz() == pytest.approx(0.2)
-
-    def test_bursty_burst_length_is_tunable(self):
-        process = MMPPArrivals.bursty_at_rate(
-            0.2, burst_factor=4.0, burst_mean_requests=20.0
-        )
-        # A burst at 4 x 0.2/s carrying 20 expected requests lasts 25 s.
-        assert process.mean_dwell_s[0] == pytest.approx(25.0)
-        assert process.mean_rate_hz() == pytest.approx(0.2)
-        with pytest.raises(ValueError, match="burst factor"):
-            MMPPArrivals.bursty_at_rate(0.2, burst_factor=1.0)
-        with pytest.raises(ValueError, match="per burst"):
-            MMPPArrivals.bursty_at_rate(0.2, burst_mean_requests=0.0)
+        assert process.rates_hz == (BURST_FACTOR * 0.2, 0.0)
+        # A burst carries BURST_MEAN_REQUESTS expected requests and the
+        # source is on for 1 / BURST_FACTOR of the time.
+        burst_s, idle_s = process.mean_dwell_s
+        assert burst_s * process.rates_hz[0] == pytest.approx(BURST_MEAN_REQUESTS)
+        assert burst_s / (burst_s + idle_s) == pytest.approx(1.0 / BURST_FACTOR)
         with pytest.raises(ValueError, match="mean arrival rate"):
             MMPPArrivals.bursty_at_rate(0.0)
 

@@ -1,11 +1,13 @@
 """Tests for the parallel scenario sweep engine."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.thermal_backend import ThermalSpec
 from repro.traffic import (
     DeterministicArrivals,
     DiurnalArrivals,
@@ -15,6 +17,7 @@ from repro.traffic import (
     PoissonArrivals,
     Scenario,
 )
+from repro.traffic.governor import GovernorSpec
 from repro.traffic.sweep import (
     CellResult,
     SweepSpec,
@@ -154,9 +157,31 @@ class TestGridExpansion:
             ("central_queue", "edf"),
         ]
 
+    def test_immediate_cells_report_default_queue_fields(self):
+        """Immediate cells never read the queue fields, so they report the
+        scenario defaults rather than whichever value heads each axis."""
+        spec = SweepSpec(
+            base(),
+            axes=(
+                ("mode", ("immediate", "central_queue")),
+                ("discipline", ("edf", "fifo")),
+                ("queue_bound", (2, None)),
+            ),
+        )
+        cells = [c.scenario for c in expand_cells(spec)]
+        immediate = [s for s in cells if s.mode == "immediate"]
+        assert [(s.discipline, s.queue_bound) for s in immediate] == [("fifo", None)]
+        central = [(s.discipline, s.queue_bound) for s in cells if s.mode != "immediate"]
+        assert central == [("edf", 2), ("edf", None), ("fifo", 2), ("fifo", None)]
+
     def test_duplicate_values_collapse_to_first_occurrence(self):
         spec = SweepSpec(
-            base(), axes=(("n_devices", (2, 1, 2)), ("thermal", ("linear", "rc")))
+            base(),
+            axes=(
+                ("n_devices", (2, 1, 2)),
+                # A name and its spec are one value, as the scenario stores it.
+                ("thermal", ("linear", "rc", ThermalSpec.rc())),
+            ),
         )
         cells = expand_cells(spec)
         assert [(c.scenario.n_devices, c.scenario.thermal.backend) for c in cells] == [
@@ -165,6 +190,29 @@ class TestGridExpansion:
             (1, "linear"),
             (1, "rc"),
         ]
+
+    def test_large_grid_expands_in_linear_time(self):
+        """A grid of thousands of combinations, most of them collapsing,
+        expands in well under a second per thousand cells."""
+        spec = SweepSpec(
+            base(),
+            axes=(
+                ("policy", ("round_robin", "random", "least_loaded", "thermal_aware")),
+                ("arrivals", poisson(*(0.05 * k for k in range(1, 11)))),
+                ("n_devices", tuple(range(1, 9))),
+                ("mode", ("immediate", "central_queue")),
+                ("discipline", ("fifo", "edf")),
+                ("queue_bound", (None, 0, 2, 8)),
+                ("sprint_enabled", (True, False)),
+            ),
+        )
+        start = time.perf_counter()
+        cells = expand_cells(spec)
+        elapsed = time.perf_counter() - start
+        # 4 x 10 x 8 immediate cells (x 2 sprint settings), plus
+        # 10 x 8 x 2 x 4 central-queue cells (x 2): 640 + 1280.
+        assert len(cells) == 1920
+        assert elapsed < 2.0
 
 
 class TestSweepExecution:
@@ -268,6 +316,22 @@ class TestSweepResult:
         assert all(c.cell.scenario.policy == "round_robin" for c in subset)
         with pytest.raises(ValueError, match="unknown scenario fields"):
             result.filtered(fleet_size=2)
+
+    def test_filtered_matches_names_as_the_scenario_stores_them(self):
+        spec = SweepSpec(
+            base(n_requests=10),
+            axes=(
+                ("thermal", ("linear", "rc")),
+                ("governor", ("unlimited", GovernorSpec.greedy(1))),
+            ),
+        )
+        result = run_sweep(spec)
+        rc = result.filtered(thermal="rc")
+        assert len(rc) == 2
+        assert all(c.cell.scenario.thermal == ThermalSpec.rc() for c in rc)
+        assert result.filtered(thermal="rc", governor="unlimited") == [
+            c for c in rc if c.cell.scenario.governor == GovernorSpec()
+        ]
 
     def test_best_cell(self, small_spec):
         result = run_sweep(small_spec)

@@ -486,8 +486,10 @@ def test_bench_shard_worker_scaling(benchmark, bench_scale):
     (fleet size, worker count) wall time and throughput into
     ``extra_info``.  At each size it asserts the shard-count invariance
     contract: worker count is a speed knob, not a physics knob, so every
-    worker count must produce a bit-identical summary.  Speedups are
-    recorded, not asserted — at light per-rack load the fan-out's job
+    worker count must produce a bit-identical summary.  Every run must
+    also ride the batched cores: a rack that falls back to the exact heap
+    loop fails the benchmark rather than silently slowing it.  Speedups
+    are recorded, not asserted — at light per-rack load the fan-out's job
     pickling can dominate, and that honesty is part of the record.
     """
     config = SystemConfig.paper_default()
@@ -500,8 +502,10 @@ def test_bench_shard_worker_scaling(benchmark, bench_scale):
 
     def run(n_devices, workers):
         topo = _shard_topology(n_devices)
-        fleet = FleetSimulator(config, topology=topo, shard_workers=workers)
-        return fleet.run(requests)
+        fleet = FleetSimulator(config, topology=topo, shard_workers=workers, engine="batched")
+        result = fleet.run(requests)
+        assert result.fast_path, result.fast_path_reason
+        return result
 
     headline = benchmark.pedantic(
         run, args=(headline_size, 1), rounds=1, iterations=1
@@ -535,6 +539,56 @@ def test_bench_shard_worker_scaling(benchmark, bench_scale):
             )
         # The governed cascade actually bit in this run, at every size.
         assert reference["request_count"] == n
+
+
+def test_bench_sharded_replay_matches_exact(benchmark, bench_scale):
+    """The datacenter configuration — sharded racks, ``least_loaded``
+    dispatch, RC thermals, rack and row budgets — on the batch-replay
+    core equals ``engine="exact"`` bit for bit, at reduced scale.
+
+    Times the batched run and records the exact loop's time next to it;
+    asserts that every rack took the batched cores and that the result,
+    ledgers included, is the exact loop's.
+    """
+    config = SystemConfig.paper_default()
+    n = bench_scale(20_000, floor=2_000)
+    arrivals = DiurnalArrivals(base_rate_hz=40.0, amplitude=0.8, period_s=600.0)
+    requests = generate_requests(arrivals, GammaService(5.0, 0.5), n, seed=3)
+    topology = TopologySpec.uniform(
+        4,
+        5,
+        10,
+        rack_governor=GovernorSpec.greedy(2),
+        row_governor=GovernorSpec.greedy(6),
+        window_s=60.0,
+    )
+
+    def run(engine):
+        fleet = FleetSimulator(
+            config,
+            topology=topology,
+            policy="least_loaded",
+            thermal="rc",
+            engine=engine,
+        )
+        return fleet.run(requests)
+
+    fast = benchmark.pedantic(run, args=("batched",), rounds=1, iterations=1)
+    started = time.perf_counter()
+    exact = run("exact")
+    exact_s = time.perf_counter() - started
+    benchmark.extra_info["requests"] = n
+    benchmark.extra_info["batched_s"] = benchmark.stats.stats.mean
+    benchmark.extra_info["exact_s"] = exact_s
+    assert fast.fast_path, fast.fast_path_reason
+    assert not exact.fast_path
+    assert fast.served == exact.served
+    assert fast.device_stats == exact.device_stats
+    assert fast.topology_stats == exact.topology_stats
+    assert fast.summary() == exact.summary()
+    # The budgets actually bit: both levels denied grants.
+    denied = fast.topology_stats.denied_by_level()
+    assert denied["rack"] > 0 and denied["row"] > 0, denied
 
 
 if __name__ == "__main__":

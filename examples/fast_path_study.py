@@ -4,10 +4,10 @@ The serving engine answers the same question on two execution paths, and
 this example runs both side by side:
 
 1. **Bit-identity**: the ``batched`` execution mode is not an
-   approximation — on its supported envelope (immediate round-robin or
-   random dispatch, ungoverned, linear thermal, no observers) it replays
-   the exact engine's float operations in numpy blocks, and every latency
-   matches bit for bit.
+   approximation — on its supported envelope (round-robin, random or
+   least-loaded dispatch or a FIFO central queue, any thermal backend,
+   greedy or cooperative budgets, observers welcome) it replays the exact
+   engine's float operations, and every latency matches bit for bit.
 2. **Honest fallback**: outside that envelope the vector core does not
    guess — the engine reports *why* (``fast_path_reason``) and takes the
    exact event loop, so ``engine="batched"`` is always safe to request.
@@ -77,6 +77,10 @@ def honest_fallback(config: SystemConfig) -> None:
             governor=GovernorSpec(policy="greedy", max_concurrent_sprints=4),
         ),
         "RC thermal backend": dict(policy="round_robin", thermal="rc"),
+        "thermal_aware dispatch": dict(policy="thermal_aware"),
+        "token-bucket power governor": dict(
+            policy="round_robin", governor=GovernorSpec.token_bucket(0.5, 3.0)
+        ),
     }
     for label, kwargs in cases.items():
         fleet = FleetSimulator(config, n_devices=4, engine="batched", **kwargs)

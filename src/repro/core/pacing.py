@@ -128,6 +128,9 @@ class SprintPacer:
     refuse_partial_sprints: bool = False
     thermal: str | ThermalSpec | ThermalBackend = "linear"
     _backend: ThermalBackend = field(init=False, repr=False)
+    #: Sprint power above the sustainable budget, read once from the
+    #: (frozen) config: every task's deposit is this times its sprint time.
+    _excess_power_w: float = field(init=False, repr=False, compare=False)
     _clock_s: float = field(default=0.0, init=False)
     _last_arrival_s: float = field(default=0.0, init=False)
 
@@ -145,6 +148,7 @@ class SprintPacer:
                 "thermal must be a backend name, a ThermalSpec, or a "
                 f"ThermalBackend, not {type(self.thermal).__name__}"
             )
+        self._excess_power_w = self.config.sprint_power_w - self.drain_power_w
 
     # -- reservoir arithmetic --------------------------------------------------------
 
@@ -219,8 +223,7 @@ class SprintPacer:
         if sustained_time_s < 0:
             raise ValueError("task time must be non-negative")
         sprint_time = sustained_time_s / self.sprint_speedup
-        excess_power = self.config.sprint_power_w - self.drain_power_w
-        return max(0.0, excess_power * sprint_time)
+        return max(0.0, self._excess_power_w * sprint_time)
 
     def minimum_interarrival_s(self, sustained_time_s: float) -> float:
         """Smallest task spacing that lets every task sprint fully.
@@ -328,9 +331,10 @@ class SprintPacer:
         before = backend.stored_heat_j
         queueing_delay = start_s - arrival_s
 
-        demand = self.sprint_heat_for(sustained_time_s)
-        headroom = backend.headroom_j
+        # sprint_heat_for, inlined: the same float operations.
         sprint_time = sustained_time_s / self.sprint_speedup
+        demand = max(0.0, self._excess_power_w * sprint_time)
+        headroom = backend.headroom_j
 
         if not allow_sprint:
             sprinted = False

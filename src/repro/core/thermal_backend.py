@@ -497,8 +497,8 @@ class ThermalSpec:
                 raise ValueError(
                     f"{self.backend} backend does not take time_constant_s"
                 )
-            if self.time_constant_s <= 0:
-                raise ValueError("time constant must be positive (or None)")
+            if not 0.0 < self.time_constant_s < math.inf:
+                raise ValueError("time constant must be positive and finite (or None)")
 
     # -- constructors ----------------------------------------------------------
 

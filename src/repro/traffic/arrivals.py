@@ -347,7 +347,10 @@ class MMPPArrivals(ArrivalProcess):
                     cross = int(np.searchsorted(times, dwell_end, side="left"))
                     accept = min(cross, n - produced)
                     if accept:
-                        yield times[:accept]
+                        # A copy, not a view: a view would pin the whole
+                        # block-sized candidate array until the piece is
+                        # emitted, one per dwell.
+                        yield times[:accept].copy()
                         produced += accept
                     if cross < times.size:
                         draws.consume(cross + 1)
@@ -397,37 +400,39 @@ class DiurnalArrivals(ArrivalProcess):
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_count(n)
-        peak = self.base_rate_hz * (1.0 + self.amplitude)
-        times = np.empty(n)
-        count = 0
-        t = 0.0
-        while count < n:
-            t += rng.exponential(1.0 / peak)
-            if rng.uniform() * peak <= self.rate_at(t):
-                times[count] = t
-                count += 1
-        return times
+        return np.concatenate(list(self._sample_pieces(n, rng)))
 
     def _sample_pieces(self, n: int, rng: np.random.Generator):
         # Thinning interleaves a variable number of exponential and uniform
         # draws from one bit stream, so there is no block draw that
         # reproduces it; the scalar candidate loop is kept and only the
-        # *emission* is chunked.  Streaming memory stays flat, but this
-        # process gains no RNG speedup — a documented limitation.
+        # *emission* is chunked.  The loop binds the generator's methods
+        # and the rate constants locally and inlines :meth:`rate_at` with
+        # its float operations unchanged: ``standard_exponential() * scale``
+        # is ``exponential(scale)`` and ``random()`` is ``uniform()``, draw
+        # for draw.
         peak = self.base_rate_hz * (1.0 + self.amplitude)
+        scale = 1.0 / peak
+        exponential = rng.standard_exponential
+        uniform = rng.random
+        cos = math.cos
+        two_pi = 2.0 * math.pi
+        base, amplitude = self.base_rate_hz, self.amplitude
+        peak_at, period = self.peak_at_s, self.period_s
         t = 0.0
         produced = 0
         while produced < n:
             size = min(_PIECE, n - produced)
-            times = np.empty(size)
-            count = 0
-            while count < size:
-                t += rng.exponential(1.0 / peak)
-                if rng.uniform() * peak <= self.rate_at(t):
-                    times[count] = t
-                    count += 1
+            times: list[float] = []
+            append = times.append
+            while len(times) < size:
+                t += exponential() * scale
+                if uniform() * peak <= base * (
+                    1.0 + amplitude * cos(two_pi * (t - peak_at) / period)
+                ):
+                    append(t)
             produced += size
-            yield times
+            yield np.array(times)
 
     def mean_rate_hz(self) -> float:
         return self.base_rate_hz

@@ -37,12 +37,17 @@ finishes it in half a second:
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.pacing import SprintPacer, TaskOutcome
 from repro.core.thermal_backend import ThermalBackend, ThermalSpec
-from repro.traffic.request import Request
+from repro.traffic.request import Request, RequestBlock
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,130 @@ class ServedRequest:
     def missed_deadline(self) -> bool:
         """True when the request had a deadline and completed after it."""
         return self.completed_at_s > self.request.deadline_at_s
+
+
+#: Outcome columns of :class:`ServedColumns`, in :class:`ServedRequest`
+#: field order after ``request``.
+OUTCOME_FIELDS = (
+    "device_id",
+    "sprinted",
+    "queueing_delay_s",
+    "service_time_s",
+    "stored_heat_before_j",
+    "stored_heat_after_j",
+    "sprint_fullness",
+    "package_temperature_c",
+    "melt_fraction",
+)
+
+
+#: Array dtype of each outcome column.
+OUTCOME_DTYPES = (np.int64, bool) + (float,) * (len(OUTCOME_FIELDS) - 2)
+
+
+@dataclass(frozen=True, eq=False)
+class ServedColumns:
+    """Served requests in columnar form: the requests plus one array per outcome.
+
+    Row ``i`` holds what :class:`ServedRequest` ``i`` would: the request
+    row of ``requests`` and the outcome fields of :data:`OUTCOME_FIELDS`.
+    The engine cores emit this instead of one object per request;
+    :attr:`served` builds the equivalent tuple of :class:`ServedRequest`
+    once, on first access.  Two column sets are equal when every column is
+    (float columns compare as the objects' floats would).
+    """
+
+    requests: RequestBlock
+    device_id: np.ndarray
+    sprinted: np.ndarray
+    queueing_delay_s: np.ndarray
+    service_time_s: np.ndarray
+    stored_heat_before_j: np.ndarray
+    stored_heat_after_j: np.ndarray
+    sprint_fullness: np.ndarray
+    package_temperature_c: np.ndarray
+    melt_fraction: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "ServedColumns":
+        return cls.from_served(())
+
+    @classmethod
+    def from_served(cls, served: "Sequence[ServedRequest]") -> "ServedColumns":
+        """The columns of ``served``, in order (the tuple itself is kept)."""
+        n = len(served)
+        result = cls(
+            RequestBlock.from_requests([s.request for s in served]),
+            *(
+                np.fromiter(map(operator.attrgetter(name), served), dtype, count=n)
+                for name, dtype in zip(OUTCOME_FIELDS, OUTCOME_DTYPES)
+            ),
+        )
+        result.__dict__["served"] = tuple(served)
+        return result
+
+    @classmethod
+    def concat(cls, parts: "Sequence[ServedColumns]") -> "ServedColumns":
+        """One column set holding ``parts`` back to back."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.empty()
+        return cls(
+            RequestBlock.concat([p.requests for p in parts]),
+            **{
+                name: np.concatenate([getattr(p, name) for p in parts])
+                for name in OUTCOME_FIELDS
+            },
+        )
+
+    def __len__(self) -> int:
+        return self.device_id.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ServedColumns):
+            return NotImplemented
+        return self.requests == other.requests and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in OUTCOME_FIELDS
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def take(self, rows: np.ndarray) -> "ServedColumns":
+        """The given rows, in the given order."""
+        taken = ServedColumns(
+            self.requests.take(rows),
+            **{name: getattr(self, name)[rows] for name in OUTCOME_FIELDS},
+        )
+        if "served" in self.__dict__:
+            objects = self.__dict__["served"]
+            taken.__dict__["served"] = tuple(objects[i] for i in rows.tolist())
+        return taken
+
+    def by_index(self) -> "ServedColumns":
+        """The rows in request-index order."""
+        order = np.argsort(self.requests.indices, kind="stable")
+        if np.array_equal(order, np.arange(order.size)):
+            return self
+        return self.take(order)
+
+    @property
+    def latency_s(self) -> np.ndarray:
+        """Per-row latency: queueing plus execution (:attr:`ServedRequest.latency_s`)."""
+        return self.queueing_delay_s + self.service_time_s
+
+    @property
+    def completed_at_s(self) -> np.ndarray:
+        """Per-row completion instant (:attr:`ServedRequest.completed_at_s`)."""
+        return self.requests.arrival_s + self.latency_s
+
+    @functools.cached_property
+    def served(self) -> tuple[ServedRequest, ...]:
+        """The rows as :class:`ServedRequest` objects, built once."""
+        requests = self.requests.to_requests()
+        columns = [getattr(self, name).tolist() for name in OUTCOME_FIELDS]
+        return tuple(ServedRequest(request, *row) for request, *row in zip(requests, *columns))
 
 
 class SprintDevice:
@@ -245,22 +374,20 @@ class SprintDevice:
         busy_seconds: float,
         sprints: int,
         fullness_total: float,
-        clock_s: float,
-        last_arrival_s: float,
-        stored_heat_j: float,
-        deposited_j: float,
-        drained_j: float,
         peak_stored_heat_j: float,
         peak_temperature_c: float,
+        peak_melt_fraction: float,
     ) -> None:
-        """Fold a vectorized run's aggregates into this device's state.
+        """Fold a batched run's counters and thermal peaks into this device.
 
-        The batched engine path (:mod:`repro.traffic.fastpath`) executes a
-        device's whole request chain in numpy with the exact scalar float
-        ops, then lands counters, pacer clock, reservoir heat, and thermal
-        peaks here in one step — bit-identical to having called
-        :meth:`serve` per request.  Only meaningful for runs on the linear
-        backend (the vector form exists only there); melt state never moves.
+        The batched engine cores (:mod:`repro.traffic.fastpath`) execute a
+        device's requests without building a :class:`ServedRequest` per
+        request, then land the counters and peaks :meth:`_record` would
+        have kept here in one step — bit-identical to having called
+        :meth:`serve` per request.  The pacer and reservoir state is moved
+        separately: by the pacer's own ``execute_at`` on physics backends,
+        by ``advance_to`` and the reservoir's ``absorb_batch`` on the
+        linear one.
         """
         if served < 0 or sprints < 0 or sprints > served:
             raise ValueError("batch counters are inconsistent")
@@ -268,10 +395,10 @@ class SprintDevice:
         self.busy_seconds += busy_seconds
         self.sprints_served += sprints
         self._sprint_fullness_total += fullness_total
-        self.pacer.advance_to(clock_s, last_arrival_s)
-        self.pacer.backend.absorb_batch(stored_heat_j, deposited_j, drained_j)
         if peak_temperature_c > self.peak_temperature_c:
             self.peak_temperature_c = peak_temperature_c
+        if peak_melt_fraction > self.peak_melt_fraction:
+            self.peak_melt_fraction = peak_melt_fraction
         if peak_stored_heat_j > self.peak_stored_heat_j:
             self.peak_stored_heat_j = peak_stored_heat_j
 

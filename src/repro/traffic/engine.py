@@ -91,9 +91,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.traffic.device import ServedRequest, SprintDevice
+from repro.traffic.device import ServedColumns, ServedRequest, SprintDevice
 from repro.traffic.governor import GovernorStats, SprintGovernor
-from repro.traffic.request import Request
+from repro.traffic.request import Request, RequestBlock
 from repro.traffic.telemetry import EventTrace, TimelineProbe, TrafficTelemetry
 
 #: A dispatch policy maps (devices, request, rng, round-robin cursor) to a
@@ -106,9 +106,10 @@ DISPATCH_MODES = ("immediate", "central_queue")
 
 #: How the engine advances time: one heap event at a time (the reference),
 #: or the batched cores where the configuration permits — the lockstep
-#: numpy vector core for ungoverned immediate runs, the batch-replay event
-#: core for governed/central-queue runs — with an automatic, bit-identical
-#: fallback to exact where neither applies (see :mod:`repro.traffic.fastpath`).
+#: numpy vector core for ungoverned immediate round_robin/random runs, the
+#: batch-replay event core for the rest of the envelope — with an
+#: automatic, bit-identical fallback to exact where neither applies (see
+#: :mod:`repro.traffic.fastpath`).
 EXECUTION_MODES = ("exact", "batched")
 
 #: Orderings of the shared queue in central_queue mode.
@@ -296,27 +297,6 @@ class LeastLoadedIndex:
         if total > max(2 * len(self._devices), self._COMPACT_MIN):
             self._compact()
 
-    def push_many(self, positions: Sequence[int]) -> None:
-        """Re-key a batch of devices after they absorbed requests.
-
-        Pick-equivalent to calling :meth:`update` per position: each
-        position's live entry must reflect its device's current state, and
-        how the stale entries die is unobservable through :meth:`pick`.
-        Small batches take the incremental per-position path; once the
-        batch touches a quarter of the fleet, invalidating every touched
-        entry and rebuilding both heaps in one O(n) pass is cheaper than
-        the ~batch·log(n) pushes (a rebuild never changes the minimum live
-        entry, so picks are unaffected).
-        """
-        unique = set(positions)
-        if 4 * len(unique) < len(self._devices):
-            for pos in unique:
-                self.update(pos)
-            return
-        for pos in unique:
-            self._version[pos] += 1
-        self._compact()
-
     def _compact(self) -> None:
         """Rebuild both heaps with one live entry per device.
 
@@ -355,20 +335,22 @@ class LeastLoadedIndex:
 class EngineResult:
     """Everything one engine run produced, by request fate.
 
-    ``served`` is in completion order of the underlying event processing;
-    callers usually re-sort by ``request.index``.  ``rejected`` holds
-    arrivals bounced by a full bounded queue, ``abandoned`` the queued
-    requests whose deadline expired before a device picked them up.
+    ``outcomes`` holds the served requests as columns, in the order the
+    event processing served them; :attr:`served` is the same rows as
+    :class:`~repro.traffic.device.ServedRequest` objects (callers usually
+    re-sort by ``request.index``).  ``rejected`` holds arrivals bounced by
+    a full bounded queue, ``abandoned`` the queued requests whose deadline
+    expired before a device picked them up.
     """
 
-    served: tuple[ServedRequest, ...]
+    outcomes: ServedColumns
     rejected: tuple[Request, ...]
     abandoned: tuple[Request, ...]
     #: Grant accounting of a governed run (None when ungoverned/unlimited).
     governor_stats: GovernorStats | None = None
     #: Lifecycle counts, always valid — with ``keep_samples=False`` the
-    #: tuples above stay empty to keep memory flat, and these counters are
-    #: the only record of how many requests met each fate.
+    #: columns and tuples above stay empty to keep memory flat, and these
+    #: counters are the only record of how many requests met each fate.
     served_count: int = 0
     rejected_count: int = 0
     abandoned_count: int = 0
@@ -381,6 +363,11 @@ class EngineResult:
     #: take ``max(final_time_s, max completed_at_s)``
     #: (:attr:`repro.traffic.fleet.FleetResult.horizon_s` does).
     final_time_s: float = 0.0
+
+    @property
+    def served(self) -> tuple[ServedRequest, ...]:
+        """The served rows as objects (built once, on first access)."""
+        return self.outcomes.served
 
 
 class ServingEngine:
@@ -440,13 +427,14 @@ class ServingEngine:
         ``"exact"`` (default) resolves every event through the heap loop.
         ``"batched"`` runs the fast cores where the configuration permits:
         the numpy lockstep core for ungoverned immediate round_robin/random
-        dispatch, and the batch-replay event core for central-queue FIFO
-        and governed runs whose policy declares an exact batched replay
-        (greedy, cooperative_threshold, cascades of them) — all on linear
-        thermal backends, with streaming observers fed from columnar
-        buffers (see :mod:`repro.traffic.fastpath`).  Anything else (EDF,
-        token_bucket, state-dependent policies, physics backends) falls
-        back to the exact loop, so results are bit-identical either way.
+        dispatch on linear reservoirs, and the batch-replay event core for
+        everything else in the envelope — ``least_loaded`` dispatch,
+        central-queue FIFO, governors that declare an exact batched replay
+        (greedy, cooperative_threshold, cascades of them) and every thermal
+        backend — with streaming observers fed from columnar buffers (see
+        :mod:`repro.traffic.fastpath`).  Anything else (EDF, token_bucket,
+        ``thermal_aware``, custom dispatch callables) falls back to the
+        exact loop, so results are bit-identical either way.
         :attr:`last_run_fast_path` reports which path the latest run took,
         and :attr:`fast_path_reason` why the fast cores are (not) engaged.
     """
@@ -537,24 +525,7 @@ class ServingEngine:
         if self._use_fast_path():
             from repro.traffic.fastpath import run_batched
 
-            count = len(ordered)
-            times = np.fromiter(
-                (r.arrival_s for r in ordered), dtype=float, count=count
-            )
-            demands = np.fromiter(
-                (r.sustained_time_s for r in ordered), dtype=float, count=count
-            )
-            # Deadlines only matter to the central queue (abandonment) and
-            # to telemetry (miss counting); other fast-path runs skip the
-            # column entirely.
-            deadline_at = None
-            if self.mode != "immediate" or self.telemetry is not None:
-                deadline_at = np.fromiter(
-                    (r.deadline_at_s for r in ordered), dtype=float, count=count
-                )
-            return run_batched(
-                self, [(times, demands, ordered, deadline_at, None)], rng
-            )
+            return run_batched(self, [RequestBlock.from_requests(ordered)], rng)
         seq = itertools.count()
         # Entries are (time, kind, seq, payload); seq is unique, so payloads
         # are never compared.  Arrivals are fed into the heap one at a time
@@ -847,7 +818,7 @@ class ServingEngine:
         if keep and not observing:
             served_count = len(served)
         return EngineResult(
-            served=tuple(served),
+            outcomes=ServedColumns.from_served(served),
             rejected=tuple(rejected),
             abandoned=tuple(abandoned),
             governor_stats=governor.finalize(last_s) if governed else None,
@@ -873,29 +844,6 @@ class ServingEngine:
         if self._use_fast_path():
             from repro.traffic.fastpath import run_batched
 
-            # Request objects exist only where something keeps a reference
-            # to them (samples, timeline probe, event trace); the sketch
-            # and the cores themselves run on bare columns.  Deadline
-            # columns are block-scalar broadcasts, bit-identical to each
-            # request's own ``deadline_at_s``.
-            need_objects = (
-                self.keep_samples or self.probe is not None or self.trace is not None
-            )
-            need_deadlines = self.mode != "immediate" or self.telemetry is not None
-            stream = (
-                (
-                    block.arrival_s,
-                    block.sustained_time_s,
-                    block.to_requests() if need_objects else None,
-                    (
-                        block.arrival_s + block.deadline_s
-                        if need_deadlines and block.deadline_s is not None
-                        else None
-                    ),
-                    block.start_index,
-                )
-                for block in blocks
-            )
-            return run_batched(self, stream, rng)
+            return run_batched(self, blocks, rng)
         requests = [request for block in blocks for request in block.to_requests()]
         return self.run(requests, rng)

@@ -334,8 +334,20 @@ class Scenario:
         request_seed: int | np.random.SeedSequence,
         run_seed: int | np.random.SeedSequence,
     ) -> FleetResult:
-        """One full replication: generate requests, run the fleet."""
-        return self.build_fleet(config).run(self.requests(request_seed), seed=run_seed)
+        """One full replication: generate the request columns, run the fleet.
+
+        The stream goes from :func:`~repro.traffic.request.generate_request_blocks`
+        straight into the fleet (:meth:`FleetSimulator.run_stream`), the
+        same draws :meth:`requests` materialises.
+        """
+        return self.build_fleet(config).run_stream(
+            self.arrivals,
+            self.service,
+            self.n_requests,
+            request_seed=request_seed,
+            run_seed=run_seed,
+            deadline_s=self.deadline_s,
+        )
 
 
 @dataclass(frozen=True)

@@ -5,29 +5,33 @@ request in pure Python.  This module is the ``engine="batched"`` execution
 strategy: the same runs, bit-identical, at a fraction of the interpreter
 work.  Two cores divide the envelope:
 
-* **The lockstep vector core** (ungoverned immediate dispatch) — when the
-  device assignment sequence is known up front (``round_robin`` is
-  ``(cursor + i) mod n``; ``random`` is one block draw of ``rng.integers``,
-  bit-identical to the scalar per-request draws), every device's request
-  chain is independent, so all devices advance in lockstep *rounds*:
-  round ``k`` executes the ``k``-th request of every device that has one,
-  as ~30 vectorized ops over the active-device axis.  The linear-reservoir
+* **The lockstep vector core** (ungoverned immediate ``round_robin`` or
+  ``random`` dispatch on linear reservoirs) — when the device assignment
+  sequence is known up front (``round_robin`` is ``(cursor + i) mod n``;
+  ``random`` is one block draw of ``rng.integers``, bit-identical to the
+  scalar per-request draws), every device's request chain is
+  independent, so all devices advance in lockstep *rounds*: round ``k``
+  executes the ``k``-th request of every device that has one, as ~30
+  vectorized ops over the active-device axis.  The linear-reservoir
   sprint decision (drain, headroom, full / partial / sustained, deposit)
   is elementwise ``max``/``where`` arithmetic whose float operations are
   exactly the scalar pacer's.
-* **The batch-replay event core** (governed sprinting, central-queue FIFO)
-  — event *interleaving* matters there, so the core keeps the exact
-  loop's event semantics (same event kinds, same tie-break order, same
-  float paths) but strips its interpreter overhead: arrivals merge from
-  the sorted column stream instead of living in the heap, the FIFO queue
-  is a deque of tokens, device execution is the linear-reservoir
-  arithmetic inlined on plain floats, and request/outcome objects are
-  only constructed when a caller actually keeps them.  Grant decisions go
-  through the *real* governor object at the exact event timestamps, so
-  ``GovernorStats`` ledgers replay exactly — for ``greedy``,
-  ``cooperative_threshold``, and any cascade of them.
+* **The batch-replay event core** (everything else in the envelope:
+  governed sprinting, central-queue FIFO, ``least_loaded`` dispatch,
+  physics thermal backends) — event *interleaving* matters there, so the
+  core keeps the exact loop's event semantics (same event kinds, same
+  tie-break order, same float paths) but strips its interpreter
+  overhead: arrivals merge from the sorted column stream instead of
+  living in the heap, the FIFO queue is a deque of tokens,
+  ``least_loaded`` picks from a plain-list mirror of
+  :class:`~repro.traffic.engine.LeastLoadedIndex`, linear-reservoir
+  execution is inlined on plain floats (RC and PCM devices call their
+  real ``SprintPacer.execute_at``), and outcomes are emitted as columns.
+  Grant decisions go through the *real* governor object at the exact
+  event timestamps, so ``GovernorStats`` ledgers replay exactly — for
+  ``greedy``, ``cooperative_threshold``, and any cascade of them.
 
-Streaming observers no longer disqualify the fast path: the telemetry
+Streaming observers do not disqualify the fast path: the telemetry
 sketch is fed from per-chunk columnar buffers
 (:meth:`~repro.traffic.telemetry.TrafficTelemetry.observe_batch`), the
 timeline probe from per-window batch counters, and the (ring-bounded)
@@ -35,17 +39,20 @@ event trace from a scalar replay in processing order — all bit-identical
 to the per-event callbacks.
 
 Configurations still outside the envelope — EDF queue re-sorting,
-token-bucket grant refill, state-dependent policies like
-``least_loaded``, physics thermal backends — keep the exact event loop:
-``batched`` execution falls back honestly rather than approximate.  The
+token-bucket grant refill, the ``thermal_aware`` policy and custom
+dispatch callables — keep the exact event loop: ``batched`` execution
+falls back honestly rather than approximate.  The
 :func:`unsupported_reason` predicate is the single source of truth for
 that envelope, and ``ServingEngine.last_run_fast_path`` reports which
 path a run actually took.
 
-Requests are consumed as ``(times, demands, requests, deadline_at,
-start_index)`` column blocks, so the streaming entry point
-(``ServingEngine.run_blocks`` under ``keep_samples=False``) holds one
-chunk in memory regardless of horizon.
+Requests are consumed as :class:`~repro.traffic.request.RequestBlock`
+columns and served requests come back as
+:class:`~repro.traffic.device.ServedColumns`; ``Request`` objects are
+built only for what keeps them (rejected or abandoned samples, the
+timeline probe).  The streaming entry point (``ServingEngine.run_blocks``
+under ``keep_samples=False``) holds one chunk in memory regardless of
+horizon.
 
 Usage — :func:`unsupported_reason` names exactly what keeps a
 configuration on the exact loop:
@@ -55,16 +62,17 @@ configuration on the exact loop:
 >>> from repro.traffic.engine import DISPATCH_POLICIES, ServingEngine
 >>> from repro.traffic.fastpath import unsupported_reason
 >>> devices = [
-...     SprintDevice(SystemConfig.paper_default(), device_id=i) for i in range(2)
+...     SprintDevice(SystemConfig.paper_default(), device_id=i, thermal="rc")
+...     for i in range(2)
 ... ]
 >>> unsupported_reason(
-...     ServingEngine(devices, DISPATCH_POLICIES["round_robin"], "round_robin")
+...     ServingEngine(devices, DISPATCH_POLICIES["least_loaded"], "least_loaded")
 ... ) is None
 True
 >>> unsupported_reason(
-...     ServingEngine(devices, DISPATCH_POLICIES["least_loaded"], "least_loaded")
+...     ServingEngine(devices, DISPATCH_POLICIES["thermal_aware"], "thermal_aware")
 ... )
-"policy 'least_loaded' depends on per-request fleet state"
+"policy 'thermal_aware' depends on per-request fleet state"
 >>> unsupported_reason(
 ...     ServingEngine(
 ...         devices,
@@ -87,40 +95,35 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.core.thermal_backend import LinearReservoir
-from repro.traffic.device import ServedRequest, SprintDevice
-from repro.traffic.request import Request
+from repro.traffic.device import (
+    OUTCOME_DTYPES,
+    ServedColumns,
+    ServedRequest,
+    SprintDevice,
+)
+from repro.traffic.request import Request, RequestBlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.traffic.engine import EngineResult, ServingEngine
 
-#: Immediate-mode policies whose assignment sequence is precomputable.
-BATCHABLE_POLICIES = ("round_robin", "random")
+#: Immediate-mode policies the batched cores reproduce.
+BATCHABLE_POLICIES = ("round_robin", "random", "least_loaded")
 
-#: One chunk's stream element: (times, demands, requests, deadline_at,
-#: start_index).  ``requests`` is None unless outcome objects are needed
-#: (keep_samples / probe / trace); ``deadline_at`` is the absolute-deadline
-#: column (None when the chunk carries no deadlines and no observer needs
-#: them); ``start_index`` recovers request indices when objects are absent.
-StreamChunk = tuple[
-    np.ndarray,
-    np.ndarray,
-    "Sequence[Request] | None",
-    "np.ndarray | None",
-    "int | None",
-]
+#: Immediate-mode policies whose assignment sequence is precomputable
+#: (the lockstep vector core's precondition).
+LOCKSTEP_POLICIES = ("round_robin", "random")
 
 
 def unsupported_reason(engine: "ServingEngine") -> str | None:
-    """Why this engine configuration cannot take the vector fast path.
+    """Why this engine configuration cannot take the batched cores.
 
     Returns ``None`` when the fast path applies.  The conditions mirror the
     module docstring: anything whose exact replay cannot be proven —
-    deadline-ordered queue re-sorting, state-dependent dispatch,
-    token-bucket refill arithmetic, open-form thermal physics — forces the
-    exact heap loop.  Streaming observers and power governors are *inside*
-    the envelope now: observers are fed from columnar buffers, and grant
-    policies that declare ``supports_batched_replay`` are replayed through
-    the real governor object.
+    deadline-ordered queue re-sorting, budget-projecting or custom
+    dispatch, token-bucket refill arithmetic — forces the exact heap loop.
+    Streaming observers, power governors that declare
+    ``supports_batched_replay``, ``least_loaded`` dispatch and every
+    thermal backend are inside the envelope.
     """
     from repro.traffic.engine import DISPATCH_POLICIES
 
@@ -135,37 +138,39 @@ def unsupported_reason(engine: "ServingEngine") -> str | None:
                 "shared queue on deadlines"
             )
     else:
+        if engine.dispatch is not DISPATCH_POLICIES.get(engine.policy_name):
+            return "custom dispatch callable must be consulted per request"
         if engine.policy_name not in BATCHABLE_POLICIES:
             return (
                 f"policy {engine.policy_name!r} depends on per-request fleet state"
             )
-        if engine.dispatch is not DISPATCH_POLICIES[engine.policy_name]:
-            return "custom dispatch callable must be consulted per request"
     governor = engine.governor
     if governor is not None and not governor.is_unlimited:
         if not getattr(governor, "supports_batched_replay", False):
             return (
                 f"governor {governor.name!r} has no exact batched grant replay"
             )
-    for device in engine.devices:
-        if type(device.thermal_backend) is not LinearReservoir:
-            return (
-                f"thermal backend {device.thermal_backend.name!r} has no "
-                "closed vector form"
-            )
     return None
 
 
 class _FleetState:
-    """Columnar mirror of per-device pacer/reservoir state for one run."""
+    """Columnar mirror of per-device pacer/reservoir state for one run.
+
+    Linear-reservoir devices are executed on these columns; devices on a
+    physics backend keep their state in their own pacer and only their
+    counters and peaks are gathered here.
+    """
 
     def __init__(self, devices: Sequence[SprintDevice]) -> None:
         self.devices = devices
         n = len(devices)
         pacers = [d.pacer for d in devices]
         backends = [p.backend for p in pacers]
+        self.linear = [type(b) is LinearReservoir for b in backends]
         self.device_ids = np.array([d.device_id for d in devices], dtype=np.int64)
-        self.drain_w = np.array([b.drain_power_w for b in backends])
+        self.drain_w = np.array(
+            [b.drain_power_w if lin else 0.0 for b, lin in zip(backends, self.linear)]
+        )
         self.excess_w = np.array(
             [p.config.sprint_power_w - p.drain_power_w for p in pacers]
         )
@@ -177,52 +182,67 @@ class _FleetState:
         self.refuse = np.array(
             [p.refuse_partial_sprints for p in pacers], dtype=bool
         )
-        # Mutable state, synced back through absorb_batch() at the end.
+        # Mutable state, synced back at the end.  Request counts carry any
+        # serving history, because dispatch keys read them.
         self.clock = np.array([p.busy_until_s for p in pacers])
         self.stored = np.array([b.stored_heat_j for b in backends])
-        self.served = np.zeros(n, dtype=np.int64)
+        self.served = np.array([d.requests_served for d in devices], dtype=np.int64)
+        self.served_before = self.served.copy()
         self.sprints = np.zeros(n, dtype=np.int64)
         self.busy_seconds = np.zeros(n)
         self.fullness_total = np.zeros(n)
         self.deposited = np.zeros(n)
         self.drained = np.zeros(n)
         self.peak_stored = np.full(n, -np.inf)
+        self.peak_temperature = np.full(n, -np.inf)
+        self.peak_melt = np.full(n, -np.inf)
         self.last_arrival = np.full(n, -np.inf)
 
-    def sync_back(self) -> None:
+    def sync_back(self) -> tuple[float, float]:
         """Fold the run's aggregates into the live device objects.
 
-        Counters and heat land exactly where the scalar path would have left
-        them; per-device peaks use the linear backend's monotone
-        heat-to-temperature map, so the run's hottest instant is the request
-        with the most stored heat.
+        Counters, clock and heat land exactly where the scalar path would
+        have left them.  A linear device's peak temperature comes from its
+        peak stored heat: the heat-to-temperature map is monotone, so the
+        run's hottest instant is the request with the most stored heat.
+        Returns the run's peak temperature and melt fraction over every
+        device (``-inf`` and 0.0 when nothing was served).
         """
+        run_temperature, run_melt = -np.inf, 0.0
         for pos, device in enumerate(self.devices):
-            count = int(self.served[pos])
+            count = int(self.served[pos] - self.served_before[pos])
             if count == 0:
                 continue
             peak_stored = float(self.peak_stored[pos])
-            capacity = self.capacity[pos]
-            if capacity > 0.0:
-                peak_temp = float(
-                    self.ambient[pos]
-                    + (peak_stored / capacity) * self.headroom_c[pos]
+            if self.linear[pos]:
+                device.pacer.advance_to(float(self.clock[pos]), float(self.last_arrival[pos]))
+                device.pacer.backend.absorb_batch(
+                    float(self.stored[pos]),
+                    float(self.deposited[pos]),
+                    float(self.drained[pos]),
                 )
+                capacity = self.capacity[pos]
+                peak_temperature = float(
+                    self.ambient[pos] + (peak_stored / capacity) * self.headroom_c[pos]
+                    if capacity > 0.0
+                    else self.ambient[pos]
+                )
+                peak_melt = 0.0
             else:
-                peak_temp = float(self.ambient[pos])
+                peak_temperature = float(self.peak_temperature[pos])
+                peak_melt = float(self.peak_melt[pos])
             device.absorb_batch(
                 served=count,
                 busy_seconds=float(self.busy_seconds[pos]),
                 sprints=int(self.sprints[pos]),
                 fullness_total=float(self.fullness_total[pos]),
-                clock_s=float(self.clock[pos]),
-                last_arrival_s=float(self.last_arrival[pos]),
-                stored_heat_j=float(self.stored[pos]),
-                deposited_j=float(self.deposited[pos]),
-                drained_j=float(self.drained[pos]),
                 peak_stored_heat_j=peak_stored,
-                peak_temperature_c=peak_temp,
+                peak_temperature_c=peak_temperature,
+                peak_melt_fraction=peak_melt,
             )
+            run_temperature = max(run_temperature, peak_temperature)
+            run_melt = max(run_melt, peak_melt)
+        return run_temperature, run_melt
 
 
 def _assignments(
@@ -354,7 +374,7 @@ def _check_chunk_order(
 
 def _run_immediate_core(
     engine: "ServingEngine",
-    stream: Iterable[StreamChunk],
+    blocks: Iterable[RequestBlock],
     rng: np.random.Generator,
 ) -> "EngineResult":
     """The lockstep vector core: ungoverned immediate dispatch.
@@ -377,20 +397,21 @@ def _run_immediate_core(
     trace = engine.trace
     collect = keep or telemetry is not None or probe is not None or trace is not None
     labels = [d.label for d in engine.devices]
-    served: list[ServedRequest] = []
+    kept: list[tuple] = []
     served_count = 0
     cursor = 0
     last_s = 0.0
     previous_end = -np.inf
 
-    for times, demands, requests, deadline_at, start_index in stream:
+    for block in blocks:
+        times = block.arrival_s
         count = times.size
         if count == 0:
             continue
         previous_end = _check_chunk_order(times, previous_end)
         assign = _assignments(engine, count, cursor, rng)
         cursor += count
-        outputs = _advance_chunk(state, assign, times, demands, collect)
+        outputs = _advance_chunk(state, assign, times, block.sustained_time_s, collect)
         served_count += count
         last_s = previous_end
         if not collect:
@@ -403,6 +424,7 @@ def _run_immediate_core(
             probe.on_arrival_batch(times)
             probe.on_served_batch(completed, sprinted, temp)
         if telemetry is not None:
+            deadline_at = block.deadline_at_s
             missed = 0
             if deadline_at is not None:
                 missed = int(np.count_nonzero(completed > deadline_at))
@@ -419,14 +441,14 @@ def _run_immediate_core(
                 last_completion_s=float(completed.max()),
             )
         if trace is not None:
-            base = 0 if start_index is None else start_index
             t_l = times.tolist()
             c_l = completed.tolist()
             lat_l = latency.tolist()
             pos_l = assign.tolist()
             gid_l = device_ids.tolist()
+            idx_l = block.indices.tolist()
             for i in range(count):
-                ridx = requests[i].index if requests is not None else base + i
+                ridx = idx_l[i]
                 pos = pos_l[i]
                 trace.add(t_l[i], "arrival", request_index=ridx)
                 trace.add(
@@ -445,26 +467,21 @@ def _run_immediate_core(
                     label=labels[pos],
                 )
         if keep:
-            assert requests is not None
-            served.extend(
-                ServedRequest(
-                    request=requests[i],
-                    device_id=int(device_ids[i]),
-                    sprinted=bool(sprinted[i]),
-                    queueing_delay_s=float(queueing[i]),
-                    service_time_s=float(response[i]),
-                    stored_heat_before_j=float(before[i]),
-                    stored_heat_after_j=float(after[i]),
-                    sprint_fullness=float(fullness[i]),
-                    package_temperature_c=float(temp[i]),
-                    melt_fraction=0.0,
-                )
-                for i in range(count)
+            kept.append(
+                (block, device_ids, sprinted, queueing, response, before, after, fullness, temp)
             )
 
     state.sync_back()
+    outcomes = ServedColumns.empty()
+    if kept:
+        kept_blocks, *columns = zip(*kept)
+        outcomes = ServedColumns(
+            RequestBlock.concat(list(kept_blocks)),
+            *map(np.concatenate, columns),
+            melt_fraction=np.zeros(served_count),
+        )
     return EngineResult(
-        served=tuple(served),
+        outcomes=outcomes,
         rejected=(),
         abandoned=(),
         governor_stats=None,
@@ -477,27 +494,33 @@ def _run_immediate_core(
 
 def _run_event_core(
     engine: "ServingEngine",
-    stream: Iterable[StreamChunk],
+    blocks: Iterable[RequestBlock],
     rng: np.random.Generator,
 ) -> "EngineResult":
-    """The batch-replay event core: governed sprinting and central-queue FIFO.
+    """The batch-replay event core: everything the lockstep core cannot take.
 
     The exact loop's semantics with its interpreter overhead stripped.
-    Three structural changes, each order-preserving by construction:
+    Four structural changes, each order-preserving by construction:
 
     * **Arrivals merge from the sorted column stream** instead of living in
       the heap.  At most one ARRIVAL is ever in the exact heap, and at
       equal timestamps ARRIVAL beats only DEADLINE, so an arrival at ``t``
       is processed exactly after every heap event ``(t', kind)`` with
       ``t' < t`` or ``t' == t and kind < ARRIVAL``.
-    * **The FIFO queue is a deque of tokens** with a ``waiting`` dict for
-      lazy deadline deletion.  The exact heap keys FIFO entries by their
-      monotonically increasing token, so heap order *is* append order.
+    * **The FIFO queue is a deque of entries** with lazy deadline
+      deletion.  The exact heap keys FIFO entries by their monotonically
+      increasing token, so heap order *is* append order; only entries with
+      a deadline are also indexed, so that their DEADLINE event can find
+      them.
+    * **``least_loaded`` picks from plain lists** mirroring
+      :class:`~repro.traffic.engine.LeastLoadedIndex`: the same idle heap
+      ``(served, pos)``, busy heap ``(busy_until, served, pos)``, version
+      stamps and compaction bound, so every pick is the index's.
     * **Device execution is inlined** linear-reservoir arithmetic on plain
       floats — the same operations, in the same order, as
-      ``SprintPacer.execute_at`` — and ``Request``/``ServedRequest``
-      objects are only constructed when kept samples, the probe, or the
-      trace actually need them.
+      ``SprintPacer.execute_at`` — while devices on physics backends call
+      their real pacer; outcomes are emitted as columns and ``Request``
+      objects are only built for what keeps them.
 
     Grant decisions, releases, and breaker resets go through the *real*
     governor object at the exact event timestamps (the heap carries
@@ -505,11 +528,13 @@ def _run_event_core(
     loop's tie-break kinds), so ``GovernorStats`` — and every cascade
     level's ledger — replays exactly.
     """
-    from repro.traffic.engine import EngineResult
+    from repro.traffic.engine import EngineResult, LeastLoadedIndex
 
     devices = engine.devices
     n = len(devices)
     state = _FleetState(devices)
+    linear = state.linear
+    pacers = [d.pacer for d in devices]
     # Plain-float mirrors of the columnar state: attribute lookups and
     # numpy scalar boxing are what the exact loop spends its time on.
     clock = state.clock.tolist()
@@ -524,25 +549,27 @@ def _run_event_core(
     refuse = state.refuse.tolist()
     device_ids = state.device_ids.tolist()
     labels = [d.label for d in devices]
-    served_n = [0] * n
+    served_n = state.served.tolist()
     sprints_n = [0] * n
     busy_sec = [0.0] * n
     full_tot = [0.0] * n
     dep_tot = [0.0] * n
     drn_tot = [0.0] * n
     peak_st = [-np.inf] * n
+    peak_t = [-np.inf] * n
+    peak_m = [-np.inf] * n
     last_arr = [-np.inf] * n
 
     keep = engine.keep_samples
     telemetry = engine.telemetry
     probe = engine.probe
     trace = engine.trace
-    need_objects = keep or probe is not None or trace is not None
 
     governor = engine.governor
     governed = governor is not None and not governor.is_unlimited
     central = engine.mode == "central_queue"
     random_policy = engine.policy_name == "random"
+    least_loaded = not central and engine.policy_name == "least_loaded"
     queue_bound = engine.queue_bound
     inf = float("inf")
 
@@ -581,6 +608,17 @@ def _run_event_core(
         g_penalty_s = governor.penalty_s
         g_headroom = governor.trip_headroom_w
 
+    # LeastLoadedIndex on plain lists: idle entries (served, pos, version),
+    # busy entries (busy_until, served, pos, version), one live entry per
+    # device, rebuilt from live state once stale entries outnumber it.
+    ll_version = [0] * n
+    ll_idle: list[tuple[int, int, int]] = []
+    ll_busy: list[tuple[float, int, int, int]] = []
+    ll_bound = max(2 * n, LeastLoadedIndex._COMPACT_MIN)
+    if least_loaded:
+        ll_busy = [(clock[pos], served_n[pos], pos, 0) for pos in range(n)]
+        heapq.heapify(ll_busy)
+
     heappush = heapq.heappush
     heappop = heapq.heappop
     ctr = itertools.count()
@@ -594,32 +632,46 @@ def _run_event_core(
         for pos, device in enumerate(devices):
             events.append((device.busy_until_s, 2, next(ctr), pos))
         heapq.heapify(events)
-    fifo: deque[int] = deque()
-    # token -> (arrival, demand, deadline_at, request-or-None, index)
-    waiting: dict[int, tuple] = {}
+    # Queued entries in arrival order.  An entry is (arrival, demand,
+    # deadline_at, position in the stream, request index, source, row),
+    # where the source is the request's block, or its Request objects when
+    # the probe needs one per served request (either materialises row
+    # ``row`` by indexing), or None when nothing reads request objects.
+    # The stream position keys the queued entries that have a deadline;
+    # an abandoned entry stays in the deque, marked expired, until it
+    # reaches the front.
+    fifo: deque[tuple] = deque()
+    deadlined: dict[int, tuple] = {}
+    expired: set[int] = set()
     idle: list[tuple[int, int]] = []
 
-    served: list[ServedRequest] = []
+    # Kept samples, in served order: (stream position, device id, sprinted,
+    # queueing, service, heat before, heat after, fullness, temperature,
+    # melt) rows.
+    rows: list[tuple] = []
+    kept_blocks: list[RequestBlock] = []
     rejected: list[Request] = []
     abandoned: list[Request] = []
-    served_count = rejected_count = abandoned_count = 0
+    rejected_count = abandoned_count = 0
     last_s = 0.0
     cursor = 0
 
     # Telemetry column buffers, flushed in served order; extrema and
     # counters that the stream folds order-free are tracked as scalars.
+    # Plain float lists: row tuples would be garbage-collector work.  The
+    # stream keeps only the run's peak temperature and melt fraction, which
+    # are the per-device peaks' maximum, so they go in with the last flush.
     b_lat: list[float] = []
     b_que: list[float] = []
     b_heat: list[float] = []
     b_full: list[float] = []
     tele_sprints = 0
     tele_missed = 0
-    tele_peak_t = -inf
     tele_first_a = inf
     tele_last_c = -inf
 
-    def flush_telemetry() -> None:
-        nonlocal tele_sprints, tele_missed, tele_peak_t, tele_first_a, tele_last_c
+    def flush_telemetry(peak_temperature_c: float = -inf, peak_melt: float = 0.0) -> None:
+        nonlocal tele_sprints, tele_missed, tele_first_a, tele_last_c
         if not b_lat:
             return
         telemetry.observe_batch(
@@ -629,8 +681,8 @@ def _run_event_core(
             sprinted_count=tele_sprints,
             fullness=b_full,
             deadline_miss_count=tele_missed,
-            peak_temperature_c=tele_peak_t,
-            peak_melt_fraction=0.0,
+            peak_temperature_c=peak_temperature_c,
+            peak_melt_fraction=peak_melt,
             first_arrival_s=tele_first_a,
             last_completion_s=tele_last_c,
         )
@@ -641,7 +693,6 @@ def _run_event_core(
         del b_full[:]
         tele_sprints = 0
         tele_missed = 0
-        tele_peak_t = -inf
         tele_first_a = inf
         tele_last_c = -inf
 
@@ -650,13 +701,11 @@ def _run_event_core(
     # a measurable share of the per-request budget at fleet scale.
     def serve_on(
         pos: int,
-        t_arr: float,
-        s_dem: float,
-        dl_at: float,
+        ent: tuple,
         start: float,
-        req_obj,
-        ridx: int,
         now: float,
+        linear=linear,
+        pacers=pacers,
         dev_allow=dev_allow,
         refuse=refuse,
         stored=stored,
@@ -667,6 +716,7 @@ def _run_event_core(
         capacity=capacity,
         ambient=ambient,
         headroom_c=headroom_c,
+        device_ids=device_ids,
         served_n=served_n,
         sprints_n=sprints_n,
         busy_sec=busy_sec,
@@ -674,21 +724,28 @@ def _run_event_core(
         dep_tot=dep_tot,
         drn_tot=drn_tot,
         peak_st=peak_st,
+        peak_t=peak_t,
+        peak_m=peak_m,
         last_arr=last_arr,
         events=events,
         heappush=heappush,
+        rows=rows,
         b_lat=b_lat,
         b_que=b_que,
         b_heat=b_heat,
         b_full=b_full,
         governed=governed,
         greedy_inline=greedy_inline,
+        keep=keep,
+        telemetry=telemetry,
+        emit=keep or probe is not None or trace is not None,
+        need_temp=keep or probe is not None,
     ) -> float:
-        """Grant handshake + inlined execution + emission; returns busy-until."""
-        nonlocal served_count, tele_sprints, tele_missed
-        nonlocal tele_peak_t, tele_first_a, tele_last_c
+        """Grant handshake + execution + emission; returns busy-until."""
+        nonlocal tele_sprints, tele_missed, tele_first_a, tele_last_c
         nonlocal g_active, g_granted, g_denied, g_released, g_peak
         nonlocal g_penalty_until, g_cap_since, g_time_at_cap
+        t_arr, s_dem, dl_at, gpos, ridx, src, row = ent
         allowed = dev_allow[pos]
         if governed and allowed:
             if greedy_inline:
@@ -742,46 +799,72 @@ def _run_event_core(
             grant = False
             allow = allowed
 
-        # SprintPacer.execute_at over a LinearReservoir, inlined: the same
-        # float operations in the same order (the scalar twins of the
-        # vector core's elementwise ops).
-        st = stored[pos]
-        x = st - drain_w[pos] * (start - clock[pos])
-        after = x if x > 0.0 else 0.0
-        h = capacity[pos] - after
-        headroom = h if h > 0.0 else 0.0
-        sp_t = s_dem / speedup[pos]
-        d = excess_w[pos] * sp_t
-        demand = d if d > 0.0 else 0.0
-        if allow and demand <= headroom:
-            sprinted = True
-            fullness = 1.0
-            response = sp_t
-            deposit = demand
-        elif (not allow) or refuse[pos] or headroom <= 0.0:
-            sprinted = False
-            fullness = 0.0
-            response = s_dem
-            deposit = 0.0
+        if linear[pos]:
+            # SprintPacer.execute_at over a LinearReservoir, inlined: the
+            # same float operations in the same order (the scalar twins of
+            # the vector core's elementwise ops).
+            st = stored[pos]
+            x = st - drain_w[pos] * (start - clock[pos])
+            after = x if x > 0.0 else 0.0
+            h = capacity[pos] - after
+            headroom = h if h > 0.0 else 0.0
+            sp_t = s_dem / speedup[pos]
+            d = excess_w[pos] * sp_t
+            demand = d if d > 0.0 else 0.0
+            if allow and demand <= headroom:
+                sprinted = True
+                fullness = 1.0
+                response = sp_t
+                deposit = demand
+            elif (not allow) or refuse[pos] or headroom <= 0.0:
+                sprinted = False
+                fullness = 0.0
+                response = s_dem
+                deposit = 0.0
+            else:
+                fullness = headroom / demand
+                sprinted = True
+                response = fullness * sp_t + (1.0 - fullness) * s_dem
+                deposit = headroom
+            after2 = after + deposit
+            stored[pos] = after2
+            dep_tot[pos] += deposit
+            drn_tot[pos] += st - after
+            if after2 > peak_st[pos]:
+                peak_st[pos] = after2
+            last_arr[pos] = t_arr
+            melt = 0.0
+            if need_temp:
+                cap = capacity[pos]
+                tmp = (
+                    ambient[pos] + (after2 / cap) * headroom_c[pos]
+                    if cap > 0.0
+                    else ambient[pos]
+                )
         else:
-            fullness = headroom / demand
-            sprinted = True
-            response = fullness * sp_t + (1.0 - fullness) * s_dem
-            deposit = headroom
-        after2 = after + deposit
+            # A physics backend: the device's real pacer, then the
+            # counters and peaks SprintDevice._record keeps.
+            outcome = pacers[pos].execute_at(start, s_dem, ridx, allow, t_arr)
+            sprinted = outcome.sprinted
+            fullness = outcome.sprint_fullness
+            response = outcome.response_time_s
+            after = outcome.stored_heat_before_j
+            after2 = outcome.stored_heat_after_j
+            tmp = outcome.package_temperature_c
+            melt = outcome.melt_fraction
+            if tmp > peak_t[pos]:
+                peak_t[pos] = tmp
+            if melt > peak_m[pos]:
+                peak_m[pos] = melt
+            if after2 > peak_st[pos]:
+                peak_st[pos] = after2
         end = start + response
         clock[pos] = end
-        stored[pos] = after2
         served_n[pos] += 1
         if sprinted:
             sprints_n[pos] += 1
         busy_sec[pos] += response
         full_tot[pos] += fullness
-        dep_tot[pos] += deposit
-        drn_tot[pos] += st - after
-        if after2 > peak_st[pos]:
-            peak_st[pos] = after2
-        last_arr[pos] = t_arr
 
         queueing = start - t_arr
         latency = queueing + response
@@ -814,8 +897,10 @@ def _run_event_core(
                         label=labels[pos],
                     )
 
-        served_count += 1
         if telemetry is not None:
+            # Flushed before the append, so the last flush always has rows.
+            if len(b_lat) >= 4096:
+                flush_telemetry()
             b_lat.append(latency)
             b_que.append(queueing)
             b_heat.append(after2)
@@ -824,43 +909,41 @@ def _run_event_core(
                 tele_sprints += 1
             if completed > dl_at:
                 tele_missed += 1
-            cap = capacity[pos]
-            tmp = (
-                ambient[pos] + (after2 / cap) * headroom_c[pos]
-                if cap > 0.0
-                else ambient[pos]
-            )
-            if tmp > tele_peak_t:
-                tele_peak_t = tmp
             if t_arr < tele_first_a:
                 tele_first_a = t_arr
             if completed > tele_last_c:
                 tele_last_c = completed
-            if len(b_lat) >= 4096:
-                flush_telemetry()
-        if need_objects:
-            cap = capacity[pos]
-            tmp = (
-                ambient[pos] + (after2 / cap) * headroom_c[pos]
-                if cap > 0.0
-                else ambient[pos]
-            )
-            outcome = ServedRequest(
-                request=req_obj,
-                device_id=device_ids[pos],
-                sprinted=sprinted,
-                queueing_delay_s=queueing,
-                service_time_s=response,
-                stored_heat_before_j=after,
-                stored_heat_after_j=after2,
-                sprint_fullness=fullness,
-                package_temperature_c=tmp,
-                melt_fraction=0.0,
-            )
+        if emit:
             if keep:
-                served.append(outcome)
+                rows.append(
+                    (
+                        gpos,
+                        device_ids[pos],
+                        sprinted,
+                        queueing,
+                        response,
+                        after,
+                        after2,
+                        fullness,
+                        tmp,
+                        melt,
+                    )
+                )
             if probe is not None:
-                probe.on_served(outcome)
+                probe.on_served(
+                    ServedRequest(
+                        request=src[row],
+                        device_id=device_ids[pos],
+                        sprinted=sprinted,
+                        queueing_delay_s=queueing,
+                        service_time_s=response,
+                        stored_heat_before_j=after,
+                        stored_heat_after_j=after2,
+                        sprint_fullness=fullness,
+                        package_temperature_c=tmp,
+                        melt_fraction=melt,
+                    )
+                )
             if trace is not None:
                 trace.add(
                     completed,
@@ -876,7 +959,7 @@ def _run_event_core(
         nonlocal rejected_count
         rejected_count += 1
         if keep:
-            rejected.append(ent[3])
+            rejected.append(ent[5][ent[6]])
         if telemetry is not None:
             telemetry.observe_rejected()
         if probe is not None:
@@ -888,7 +971,7 @@ def _run_event_core(
         nonlocal abandoned_count
         abandoned_count += 1
         if keep:
-            abandoned.append(ent[3])
+            abandoned.append(ent[5][ent[6]])
         if telemetry is not None:
             telemetry.observe_abandoned()
         if probe is not None:
@@ -896,13 +979,52 @@ def _run_event_core(
         if trace is not None:
             trace.add(now, "abandon", request_index=ent[4])
 
+    def ll_pick(now: float, ll_idle=ll_idle, ll_busy=ll_busy, ll_version=ll_version) -> int:
+        """LeastLoadedIndex.pick: migrate freed devices, then the minimum."""
+        while ll_busy:
+            top = ll_busy[0]
+            if top[3] != ll_version[top[2]]:
+                heappop(ll_busy)
+                continue
+            if top[0] > now:
+                break
+            heappop(ll_busy)
+            heappush(ll_idle, (top[1], top[2], top[3]))
+        while ll_idle:
+            top = ll_idle[0]
+            if top[2] != ll_version[top[1]]:
+                heappop(ll_idle)
+                continue
+            return top[1]
+        while True:
+            top = ll_busy[0]
+            if top[3] != ll_version[top[2]]:
+                heappop(ll_busy)
+                continue
+            return top[2]
+
+    def ll_update(pos: int, ll_version=ll_version) -> None:
+        """LeastLoadedIndex.update: re-key ``pos``; compact past the bound."""
+        version = ll_version[pos] + 1
+        ll_version[pos] = version
+        heappush(ll_busy, (clock[pos], served_n[pos], pos, version))
+        if len(ll_idle) + len(ll_busy) > ll_bound:
+            live_idle = {p for _, p, v in ll_idle if v == ll_version[p]}
+            ll_idle[:] = [(served_n[p], p, ll_version[p]) for p in range(n) if p in live_idle]
+            ll_busy[:] = [
+                (clock[p], served_n[p], p, ll_version[p]) for p in range(n) if p not in live_idle
+            ]
+            heapq.heapify(ll_idle)
+            heapq.heapify(ll_busy)
+
     def pump(
         t_limit: float,
         events=events,
         heappop=heappop,
         heappush=heappush,
         fifo=fifo,
-        waiting=waiting,
+        deadlined=deadlined,
+        expired=expired,
         idle=idle,
         served_n=served_n,
         greedy_inline=greedy_inline,
@@ -928,13 +1050,18 @@ def _run_event_core(
                 pos = ev[3]
                 ent = None
                 while fifo:
-                    token = fifo.popleft()
-                    ent = waiting.pop(token, None)
-                    if ent is not None:
+                    ent = fifo.popleft()
+                    if ent[2] == inf:
                         break
+                    if ent[3] in expired:
+                        expired.discard(ent[3])
+                        ent = None
+                        continue
+                    del deadlined[ent[3]]
+                    break
                 if ent is not None:
                     if probe is not None:
-                        probe.on_queue_depth(et, len(waiting))
+                        probe.on_queue_depth(et, len(fifo) - len(expired))
                     if trace is not None:
                         trace.add(
                             et,
@@ -943,9 +1070,7 @@ def _run_event_core(
                             device_id=pos,
                             label=labels[pos],
                         )
-                    end = serve_on(
-                        pos, ent[0], ent[1], ent[2], et, ent[3], ent[4], et
-                    )
+                    end = serve_on(pos, ent, et, et)
                     heappush(events, (end, 2, next(ctr), pos))
                 else:
                     heappush(idle, (served_n[pos], pos))
@@ -975,33 +1100,49 @@ def _run_event_core(
                 else:
                     governor.on_breaker_reset(et)
             else:  # DEADLINE
-                ent = waiting.pop(ev[3], None)
+                ent = deadlined.pop(ev[3], None)
                 if ent is not None:
+                    expired.add(ev[3])
                     if probe is not None:
-                        probe.on_queue_depth(et, len(waiting))
+                        probe.on_queue_depth(et, len(fifo) - len(expired))
                     emit_abandoned(ent, et)
 
     previous_end = -np.inf
-    for times, demands, requests, deadline_at, start_index in stream:
-        count = times.size
+    base = 0
+    for block in blocks:
+        count = len(block)
         if count == 0:
             continue
-        previous_end = _check_chunk_order(times, previous_end)
-        t_l = times.tolist()
-        d_l = demands.tolist()
-        dl_l = deadline_at.tolist() if deadline_at is not None else None
-        base = 0 if start_index is None else start_index
-        for i in range(count):
-            t = t_l[i]
-            pump(t)
+        previous_end = _check_chunk_order(block.arrival_s, previous_end)
+        if keep:
+            kept_blocks.append(block)
+        t_l = block.arrival_s.tolist()
+        d_l = block.sustained_time_s.tolist()
+        deadline_at = block.deadline_at_s
+        dl_l = deadline_at.tolist() if deadline_at is not None else [inf] * count
+        idx_l = (
+            block.index.tolist()
+            if block.index is not None
+            else range(block.start_index, block.start_index + count)
+        )
+        if probe is not None:
+            src = block.to_requests()
+        elif keep:
+            src = block
+        else:
+            # Nothing reads request objects.  An entry of plain numbers is
+            # one the garbage collector stops tracking while it waits in
+            # the queue.
+            src = None
+        for i, (t, demand, dl_at, ridx) in enumerate(zip(t_l, d_l, dl_l, idx_l)):
+            if events:
+                pump(t)
             last_s = t
-            robj = requests[i] if requests is not None else None
-            ridx = robj.index if robj is not None else base + i
             if probe is not None:
                 probe.on_arrival(t)
             if trace is not None:
                 trace.add(t, "arrival", request_index=ridx)
-            dl_at = dl_l[i] if dl_l is not None else inf
+            ent = (t, demand, dl_at, base + i, ridx, src, i)
             if central:
                 if idle:
                     _, pos = heappop(idle)
@@ -1013,20 +1154,24 @@ def _run_event_core(
                             device_id=pos,
                             label=labels[pos],
                         )
-                    end = serve_on(pos, t, d_l[i], dl_at, t, robj, ridx, t)
+                    end = serve_on(pos, ent, t, t)
                     heappush(events, (end, 2, next(ctr), pos))
-                elif queue_bound is not None and len(waiting) >= queue_bound:
-                    emit_rejected((t, d_l[i], dl_at, robj, ridx), t)
+                elif queue_bound is not None and len(fifo) - len(expired) >= queue_bound:
+                    emit_rejected(ent, t)
                 else:
-                    token = next(ctr)
-                    fifo.append(token)
-                    waiting[token] = (t, d_l[i], dl_at, robj, ridx)
+                    fifo.append(ent)
                     if probe is not None:
-                        probe.on_queue_depth(t, len(waiting))
-                    if dl_at != inf:
-                        heappush(events, (dl_at, 4, next(ctr), token))
-            else:  # governed immediate dispatch
-                pos = int(rng.integers(n)) if random_policy else cursor % n
+                        probe.on_queue_depth(t, len(fifo) - len(expired))
+                    if ent[2] != inf:
+                        deadlined[ent[3]] = ent
+                        heappush(events, (ent[2], 4, next(ctr), ent[3]))
+            else:  # immediate dispatch
+                if least_loaded:
+                    pos = ll_pick(t)
+                elif random_policy:
+                    pos = int(rng.integers(n))
+                else:
+                    pos = cursor % n
                 cursor += 1
                 if trace is not None:
                     trace.add(
@@ -1037,12 +1182,12 @@ def _run_event_core(
                         label=labels[pos],
                     )
                 c = clock[pos]
-                start = t if t > c else c
-                serve_on(pos, t, d_l[i], dl_at, start, robj, ridx, t)
+                serve_on(pos, ent, t if t > c else c, t)
+                if least_loaded:
+                    ll_update(pos)
+        base += count
     pump(inf)
 
-    if telemetry is not None:
-        flush_telemetry()
     if greedy_inline:
         # Restore the mirrored ledger so finalize() reports it exactly.
         governor._active = g_active
@@ -1054,6 +1199,7 @@ def _run_event_core(
         governor._penalty_until = g_penalty_until
         governor._cap_since = g_cap_since
         governor._time_at_cap = g_time_at_cap
+
     state.clock = np.asarray(clock)
     state.stored = np.asarray(stored)
     state.served = np.asarray(served_n, dtype=np.int64)
@@ -1063,10 +1209,23 @@ def _run_event_core(
     state.deposited = np.asarray(dep_tot)
     state.drained = np.asarray(drn_tot)
     state.peak_stored = np.asarray(peak_st)
+    state.peak_temperature = np.asarray(peak_t)
+    state.peak_melt = np.asarray(peak_m)
     state.last_arrival = np.asarray(last_arr)
-    state.sync_back()
+    peaks = state.sync_back()
+    if telemetry is not None:
+        flush_telemetry(*peaks)
+    served_count = int((state.served - state.served_before).sum())
+
+    outcomes = ServedColumns.empty()
+    if rows:
+        positions, *columns = zip(*rows)
+        outcomes = ServedColumns(
+            RequestBlock.concat(kept_blocks).take(np.array(positions, dtype=np.int64)),
+            *map(np.array, columns, OUTCOME_DTYPES),
+        )
     return EngineResult(
-        served=tuple(served),
+        outcomes=outcomes,
         rejected=tuple(rejected),
         abandoned=tuple(abandoned),
         governor_stats=governor.finalize(last_s) if governed else None,
@@ -1079,23 +1238,26 @@ def _run_event_core(
 
 def run_batched(
     engine: "ServingEngine",
-    stream: Iterable[StreamChunk],
+    blocks: Iterable[RequestBlock],
     rng: np.random.Generator,
 ) -> "EngineResult":
     """Run time-ordered request blocks through the batched cores.
 
-    ``stream`` yields ``(times, demands, requests, deadline_at,
-    start_index)`` columns; ``requests`` is only consulted when outcome
-    objects are needed (kept samples, timeline probe, event trace) and
-    ``deadline_at`` when deadlines matter (central queue, telemetry).  The
-    caller guarantees the concatenated times are non-decreasing — arrival
-    processes emit sorted streams and ``ServingEngine.run`` sorts — which
-    is asserted cheaply per chunk.  Dispatches to the lockstep vector core
-    for ungoverned immediate runs, and to the batch-replay event core for
-    governed or central-queue runs.
+    The caller guarantees the concatenated arrival times are
+    non-decreasing — arrival processes emit sorted streams and
+    ``ServingEngine.run`` sorts — which is asserted cheaply per block.
+    Dispatches to the lockstep vector core for ungoverned immediate
+    ``round_robin``/``random`` runs on linear reservoirs, and to the
+    batch-replay event core for everything else.
     """
     governor = engine.governor
     governed = governor is not None and not governor.is_unlimited
-    if engine.mode == "central_queue" or governed:
-        return _run_event_core(engine, stream, rng)
-    return _run_immediate_core(engine, stream, rng)
+    lockstep = (
+        engine.mode == "immediate"
+        and not governed
+        and engine.policy_name in LOCKSTEP_POLICIES
+        and all(type(d.thermal_backend) is LinearReservoir for d in engine.devices)
+    )
+    if lockstep:
+        return _run_immediate_core(engine, blocks, rng)
+    return _run_event_core(engine, blocks, rng)

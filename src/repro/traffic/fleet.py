@@ -62,7 +62,7 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.thermal_backend import ThermalSpec
 from repro.traffic.arrivals import DEFAULT_CHUNK, ArrivalProcess
-from repro.traffic.device import ServedRequest, SprintDevice
+from repro.traffic.device import ServedColumns, ServedRequest, SprintDevice
 from repro.traffic.engine import (
     DISPATCH_MODES,
     DISPATCH_POLICIES,
@@ -73,7 +73,12 @@ from repro.traffic.engine import (
 )
 from repro.traffic.governor import GovernorSpec, GovernorStats, SprintGovernor
 from repro.traffic.metrics import TrafficSummary, summarize
-from repro.traffic.request import Request, ServiceModel, generate_request_blocks
+from repro.traffic.request import (
+    Request,
+    RequestBlock,
+    ServiceModel,
+    generate_request_blocks,
+)
 from repro.traffic.telemetry import RunTelemetry, TelemetrySpec
 from repro.traffic.topology import TopologySpec, TopologyStats
 
@@ -145,9 +150,15 @@ class DeviceStats:
 
 @dataclass(frozen=True)
 class FleetResult:
-    """Everything a fleet run produced."""
+    """Everything a fleet run produced.
 
-    served: tuple[ServedRequest, ...]
+    ``outcomes`` holds the served requests as columns, in request-index
+    order; :attr:`served` is the same rows as
+    :class:`~repro.traffic.device.ServedRequest` objects, built once on
+    first access.
+    """
+
+    outcomes: ServedColumns
     device_stats: tuple[DeviceStats, ...]
     policy: str
     #: Arrivals bounced by a full bounded central queue (admission control).
@@ -185,13 +196,19 @@ class FleetResult:
     )
 
     @property
+    def served(self) -> tuple[ServedRequest, ...]:
+        """Every served request in request-index order (empty when the run
+        kept no samples)."""
+        return self.outcomes.served
+
+    @property
     def latencies_s(self) -> np.ndarray:
         """Per-request latencies in request-index order.
 
         Empty when the run dropped samples (``keep_samples=False``) — tail
         statistics then live in ``telemetry.stream``.
         """
-        return np.array([s.latency_s for s in self.served])
+        return self.outcomes.latency_s
 
     @property
     def horizon_s(self) -> float:
@@ -202,12 +219,14 @@ class FleetResult:
         served + rejected + abandoned, the conservation law the invariant
         suite asserts.
         """
-        completions = [s.completed_at_s for s in self.served]
+        instants = [self.final_event_s]
+        if len(self.outcomes):
+            instants.append(float(self.outcomes.completed_at_s.max()))
         if self.telemetry is not None and self.telemetry.stream is not None:
             stream = self.telemetry.stream
             if stream.request_count:
-                completions.append(stream.last_completion_s)
-        return max([self.final_event_s, *completions])
+                instants.append(stream.last_completion_s)
+        return max(instants)
 
     def summary(self, slo_s: float | None = None) -> TrafficSummary:
         """Aggregate serving metrics (cached per SLO).
@@ -220,15 +239,15 @@ class FleetResult:
         """
         if slo_s not in self._summary_cache:
             stream = self.telemetry.stream if self.telemetry is not None else None
-            if self.served or stream is None:
-                if not self.served and self.served_count:
+            if len(self.outcomes) or stream is None:
+                if not len(self.outcomes) and self.served_count:
                     raise ValueError(
                         "this run kept no samples and no telemetry stream; "
                         "enable keep_samples or a TelemetrySpec with "
                         "sketch=True to summarise it"
                     )
                 self._summary_cache[slo_s] = summarize(
-                    self.served,
+                    self.outcomes,
                     slo_s=slo_s,
                     rejected_count=len(self.rejected) or self.rejected_count,
                     abandoned_count=len(self.abandoned) or self.abandoned_count,
@@ -482,7 +501,8 @@ class FleetSimulator:
         if self._sharded:
             from repro.traffic.shard import run_sharded
 
-            return run_sharded(self, requests, seed, self.shard_workers)
+            ordered = sorted(requests, key=lambda r: (r.arrival_s, r.index))
+            return run_sharded(self, RequestBlock.from_requests(ordered), seed, self.shard_workers)
         for device in self.devices:
             device.reset()
         self.governor.reset()
@@ -512,33 +532,11 @@ class FleetSimulator:
         engine.  On a fast-path-eligible fleet
         (:attr:`~repro.traffic.engine.ServingEngine.fast_path_reason` is
         ``None``) with ``keep_samples=False`` the whole run stays in
-        vectorized block processing with flat memory; otherwise requests
+        columnar block processing with flat memory; otherwise requests
         are materialised chunk by chunk and served exactly.  A non-flat
-        ``topology`` fleet materialises the stream and runs sharded — rack
-        dispatch plans over the whole stream upfront.
+        ``topology`` fleet joins the blocks into one set of columns and
+        runs sharded — rack dispatch plans over the whole stream upfront.
         """
-        if self._sharded:
-            from repro.traffic.shard import run_sharded
-
-            requests = [
-                request
-                for block in generate_request_blocks(
-                    arrivals,
-                    service,
-                    n_requests,
-                    seed=request_seed,
-                    deadline_s=deadline_s,
-                    chunk_size=chunk_size,
-                )
-                for request in block.to_requests()
-            ]
-            return run_sharded(self, requests, run_seed, self.shard_workers)
-        for device in self.devices:
-            device.reset()
-        self.governor.reset()
-        rng = np.random.default_rng(run_seed)
-        stream, probe, trace = self._prepare_observers()
-        engine = self._make_engine(stream=stream, probe=probe, trace=trace)
         blocks = generate_request_blocks(
             arrivals,
             service,
@@ -547,18 +545,30 @@ class FleetSimulator:
             deadline_s=deadline_s,
             chunk_size=chunk_size,
         )
+        if self._sharded:
+            from repro.traffic.shard import run_sharded
+
+            return run_sharded(
+                self, RequestBlock.concat(list(blocks)), run_seed, self.shard_workers
+            )
+        for device in self.devices:
+            device.reset()
+        self.governor.reset()
+        rng = np.random.default_rng(run_seed)
+        stream, probe, trace = self._prepare_observers()
+        engine = self._make_engine(stream=stream, probe=probe, trace=trace)
         outcome = engine.run_blocks(blocks, rng)
         return self._package(outcome, stream, probe, trace, engine)
 
     def _package(
         self, outcome, stream, probe, trace, engine: ServingEngine
     ) -> FleetResult:
-        served = sorted(outcome.served, key=lambda s: s.request.index)
+        served = outcome.outcomes.by_index()
         telemetry = None
         if stream is not None or probe is not None or trace is not None:
             horizon = [outcome.final_time_s]
-            if served:
-                horizon.append(max(s.completed_at_s for s in served))
+            if len(served):
+                horizon.append(float(served.completed_at_s.max()))
             if stream is not None and stream.request_count:
                 horizon.append(stream.last_completion_s)
             telemetry = RunTelemetry(
@@ -584,7 +594,7 @@ class FleetSimulator:
             for d in self.devices
         )
         return FleetResult(
-            served=tuple(served),
+            outcomes=served,
             device_stats=stats,
             policy=self.policy_name,
             rejected=outcome.rejected,

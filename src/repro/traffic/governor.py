@@ -205,14 +205,7 @@ class SprintGovernor:
         """
         granted = self._decide(now_s)
         if granted:
-            self._granted += 1
-            self._active += 1
-            self._peak_active = max(self._peak_active, self._active)
-            if (
-                self.trip_headroom_w is not None
-                and self.active_excess_draw_w > self.trip_headroom_w
-            ):
-                self._trip(now_s)
+            self._record_grant(now_s)
         else:
             self._denied += 1
         self._update_cap(now_s)
@@ -220,11 +213,7 @@ class SprintGovernor:
 
     def release(self, now_s: float, used: bool = True) -> None:
         """Return one grant (the device freed, or the grant went unused)."""
-        if self._active <= 0:
-            raise RuntimeError("release without a matching grant")
-        self._active -= 1
-        if not used:
-            self._released_unused += 1
+        self._return_grant(now_s, used)
         self._update_cap(now_s)
 
     def would_deny(self, now_s: float) -> bool:
@@ -290,19 +279,65 @@ class SprintGovernor:
     def _in_penalty(self, now_s: float) -> bool:
         return now_s < self._penalty_until
 
+    def _record_grant(self, now_s: float) -> None:
+        self._granted += 1
+        self._active += 1
+        if self._active > self._peak_active:
+            self._peak_active = self._active
+        if (
+            self.trip_headroom_w is not None
+            and self.active_excess_draw_w > self.trip_headroom_w
+        ):
+            self._trip(now_s)
+
+    def _return_grant(self, now_s: float, used: bool) -> None:
+        if self._active <= 0:
+            raise RuntimeError("release without a matching grant")
+        self._active -= 1
+        if not used:
+            self._released_unused += 1
+
     def _trip(self, now_s: float) -> None:
         self._trips.append(now_s)
         if self.penalty_s > 0:
             self._penalty_until = now_s + self.penalty_s
             self._pending_reset = self._penalty_until
 
-    def _update_cap(self, now_s: float) -> None:
-        if self._saturated(now_s):
+    def _update_cap(self, now_s: float, saturated: bool | None = None) -> None:
+        """At-cap bookkeeping at ``now_s``; ``saturated`` when already known."""
+        if saturated is None:
+            saturated = self._saturated(now_s)
+        if saturated:
             if self._cap_since is None:
                 self._cap_since = now_s
         elif self._cap_since is not None:
             self._time_at_cap += now_s - self._cap_since
             self._cap_since = None
+
+    # -- the cascade's single-evaluation protocol ------------------------------------
+    #
+    # A cascade (:class:`repro.traffic.topology.CascadeGovernor`) has
+    # already probed every level with would_deny(), so it commits and
+    # denies through these and settles releases with _settle, evaluating
+    # each level's saturation once after the change and reusing it for
+    # its own at-cap bookkeeping.
+
+    def _settle(self, now_s: float) -> bool:
+        """At-cap bookkeeping at ``now_s``; returns whether saturated."""
+        saturated = self._saturated(now_s)
+        self._update_cap(now_s, saturated)
+        return saturated
+
+    def _grant_cleared(self, now_s: float) -> bool:
+        """Grant after a clear would_deny probe at ``now_s``; returns
+        whether saturated afterwards."""
+        self._record_grant(now_s)
+        return self._settle(now_s)
+
+    def _deny_blocked(self, now_s: float) -> None:
+        """count_denial after a would_deny probe at ``now_s`` said True."""
+        self._denied += 1
+        self._update_cap(now_s, True)
 
     def _close(self, end_s: float) -> None:
         if self._cap_since is not None:
@@ -443,12 +478,12 @@ class TokenBucketGovernor(SprintGovernor):
         self._cap_from: float | None = None
         self._cap_until = 0.0
 
-    def release(self, now_s: float, used: bool = True) -> None:
+    def _return_grant(self, now_s: float, used: bool) -> None:
         if not used and self._active > 0:
             # Refund the token: the grant never turned into sprint draw.
             self._refill(now_s)
             self._tokens = min(self.burst_sprints, self._tokens + 1.0)
-        super().release(now_s, used)
+        super()._return_grant(now_s, used)
 
     def _refill(self, now_s: float) -> None:
         self._tokens = min(
@@ -483,11 +518,12 @@ class TokenBucketGovernor(SprintGovernor):
                 self._time_at_cap += end - self._cap_from
             self._cap_from = None if now_s >= self._cap_until else now_s
 
-    def _update_cap(self, now_s: float) -> None:
+    def _update_cap(self, now_s: float, saturated: bool | None = None) -> None:
         # The bucket's denial horizon is known analytically: the later of
         # the penalty end and the instant the bucket refills to one token.
         # Tracking it as one interval keeps overlapping penalty and
-        # exhaustion spans from being counted twice.
+        # exhaustion spans from being counted twice, so a known
+        # ``saturated`` flag adds nothing here.
         self._refill(now_s)
         self._advance_cap(now_s)
         horizon = now_s
@@ -504,6 +540,15 @@ class TokenBucketGovernor(SprintGovernor):
             # No longer blocked (e.g. a refunded token); the settled time up
             # to now is already accumulated.
             self._cap_from = None
+
+    def _settle(self, now_s: float) -> bool:
+        self._update_cap(now_s)
+        return self._saturated(now_s)
+
+    def _grant_cleared(self, now_s: float) -> bool:
+        # The clear probe refilled the bucket to ``now_s``; spend as _decide.
+        self._tokens -= 1.0
+        return super()._grant_cleared(now_s)
 
     def _close(self, end_s: float) -> None:
         self._advance_cap(end_s)
@@ -547,10 +592,12 @@ class GovernorSpec:
                 f"unknown governor policy {self.policy!r}; "
                 f"available: {GOVERNOR_POLICIES}"
             )
-        if self.penalty_s < 0:
-            raise ValueError("breaker penalty must be non-negative")
-        if self.trip_headroom_w is not None and self.trip_headroom_w <= 0:
-            raise ValueError("breaker trip headroom must be positive (or None)")
+        # Written so that NaN fails every check, and inf fails the ones a
+        # finite budget needs.
+        if not 0.0 <= self.penalty_s < math.inf:
+            raise ValueError("breaker penalty must be finite and non-negative")
+        if self.trip_headroom_w is not None and not 0.0 < self.trip_headroom_w < math.inf:
+            raise ValueError("breaker trip headroom must be positive and finite (or None)")
         if self.policy == "unlimited":
             self._forbid(
                 "max_concurrent_sprints",
@@ -563,10 +610,10 @@ class GovernorSpec:
                 raise ValueError("greedy needs max_concurrent_sprints >= 1")
             self._forbid("sprint_rate_hz", "burst_sprints")
         elif self.policy == "token_bucket":
-            if self.sprint_rate_hz is None or self.sprint_rate_hz <= 0:
-                raise ValueError("token_bucket needs a positive sprint_rate_hz")
-            if self.burst_sprints is None or self.burst_sprints < 1:
-                raise ValueError("token_bucket needs burst_sprints >= 1")
+            if self.sprint_rate_hz is None or not 0.0 < self.sprint_rate_hz < math.inf:
+                raise ValueError("token_bucket needs a positive, finite sprint_rate_hz")
+            if self.burst_sprints is None or not 1.0 <= self.burst_sprints < math.inf:
+                raise ValueError("token_bucket needs a finite burst_sprints >= 1")
             self._forbid("max_concurrent_sprints")
         else:  # cooperative_threshold
             if self.trip_headroom_w is None:

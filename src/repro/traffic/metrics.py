@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.traffic.device import ServedRequest
+from repro.traffic.device import ServedColumns, ServedRequest
 from repro.traffic.governor import GovernorStats
 
 
@@ -560,7 +560,7 @@ def build_summary(
 
 
 def summarize(
-    served: Sequence[ServedRequest],
+    served: Sequence[ServedRequest] | ServedColumns,
     slo_s: float | None = None,
     rejected_count: int = 0,
     abandoned_count: int = 0,
@@ -568,11 +568,14 @@ def summarize(
 ) -> TrafficSummary:
     """Reduce a fleet run to its serving metrics.
 
-    An empty ``served`` sequence yields an all-zero summary rather than
-    raising, and a zero makespan (conceivable only for hand-built
-    instantaneous requests) reports zero throughput rather than ``inf``.
-    ``governor_stats`` (from a power-governed run) fills the grant-ledger
-    fields; ``None`` leaves them at their ungoverned defaults.
+    ``served`` is a sequence of :class:`~repro.traffic.device.ServedRequest`
+    or the same rows as :class:`~repro.traffic.device.ServedColumns`; both
+    reduce through the same numpy operations on the same columns, so they
+    give bit-identical summaries.  An empty ``served`` yields an all-zero
+    summary rather than raising, and a zero makespan (conceivable only for
+    hand-built instantaneous requests) reports zero throughput rather than
+    ``inf``.  ``governor_stats`` (from a power-governed run) fills the
+    grant-ledger fields; ``None`` leaves them at their ungoverned defaults.
 
     This is the exact, sample-based path (``telemetry_source ==
     "samples"``); long-horizon runs that kept no samples summarise
@@ -580,7 +583,9 @@ def summarize(
     (:meth:`repro.traffic.telemetry.TrafficTelemetry.summarize`).
     """
     validate_slo(slo_s)
-    if not served:
+    if not isinstance(served, ServedColumns):
+        served = ServedColumns.from_served(served)
+    if not len(served):
         return build_summary(
             slo_s=slo_s,
             slo_attainment=None,
@@ -588,11 +593,11 @@ def summarize(
             abandoned_count=abandoned_count,
             governor_stats=governor_stats,
         )
-    latencies = np.array([s.latency_s for s in served])
-    queueing = np.array([s.queueing_delay_s for s in served])
-    arrivals = np.array([s.request.arrival_s for s in served])
-    completions = np.array([s.completed_at_s for s in served])
-    stored_heat = np.array([s.stored_heat_after_j for s in served])
+    latencies = served.latency_s
+    arrivals = served.requests.arrival_s
+    completions = arrivals + latencies
+    stored_heat = served.stored_heat_after_j
+    deadline_at = served.requests.deadline_at_s
     p50, p95, p99 = latency_percentiles(latencies)
     makespan = float(completions.max() - arrivals.min())
     return TrafficSummary(
@@ -604,17 +609,19 @@ def summarize(
         p95_latency_s=p95,
         p99_latency_s=p99,
         max_latency_s=float(latencies.max()),
-        mean_queueing_s=float(queueing.mean()),
-        sprint_fraction=float(np.mean([s.sprinted for s in served])),
-        mean_sprint_fullness=float(np.mean([s.sprint_fullness for s in served])),
+        mean_queueing_s=float(served.queueing_delay_s.mean()),
+        sprint_fraction=float(np.mean(served.sprinted)),
+        mean_sprint_fullness=float(np.mean(served.sprint_fullness)),
         peak_stored_heat_j=float(stored_heat.max()),
         mean_stored_heat_j=float(stored_heat.mean()),
-        peak_temperature_c=max(s.package_temperature_c for s in served),
-        peak_melt_fraction=max(s.melt_fraction for s in served),
+        peak_temperature_c=float(served.package_temperature_c.max()),
+        peak_melt_fraction=float(served.melt_fraction.max()),
         slo_s=slo_s,
         slo_attainment=None if slo_s is None else slo_attainment(latencies, slo_s),
         rejected_count=rejected_count,
         abandoned_count=abandoned_count,
-        deadline_miss_count=sum(1 for s in served if s.missed_deadline),
+        deadline_miss_count=(
+            0 if deadline_at is None else int(np.count_nonzero(completions > deadline_at))
+        ),
         **_governor_fields(governor_stats),
     )

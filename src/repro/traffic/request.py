@@ -32,8 +32,10 @@ Usage:
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -246,15 +248,24 @@ class SuiteService(ServiceModel):
         return demands, tuple(c[1] for c in chosen), tuple(c[2] for c in chosen)
 
 
-@dataclass(frozen=True)
-class RequestBlock:
-    """A contiguous chunk of the request stream in columnar (array) form.
+def _rows(values: tuple[str, ...] | str, n: int) -> tuple[str, ...]:
+    """A uniform-or-per-row string column, one entry per row."""
+    return (values,) * n if isinstance(values, str) else tuple(values)
 
-    The batched engine path consumes these directly; :meth:`to_requests`
-    materialises the equivalent :class:`Request` objects, bit-identical to
-    what :func:`generate_requests` builds for the same indices.  Kernels and
-    input labels are a single string when uniform across the block, or one
-    entry per request otherwise.
+
+@dataclass(frozen=True, eq=False)
+class RequestBlock:
+    """A time-ordered run of requests in columnar (array) form.
+
+    The engine cores consume these directly; indexing (``block[i]``) and
+    :meth:`to_requests` materialise the equivalent :class:`Request`
+    objects, bit-identical to what :func:`generate_requests` builds for
+    the same indices.  Kernels and input labels are a single string when
+    uniform across the block, or one entry per request otherwise.
+    ``deadline_s`` is one relative deadline for the whole block, ``None``,
+    or one entry per request (``inf`` meaning none).  A block cut out of a
+    longer stream (one rack's share of a sharded run) carries its requests'
+    indices in ``index``; otherwise they run on from ``start_index``.
     """
 
     start_index: int
@@ -262,7 +273,8 @@ class RequestBlock:
     sustained_time_s: np.ndarray
     kernels: tuple[str, ...] | str = ""
     input_labels: tuple[str, ...] | str = ""
-    deadline_s: float | None = None
+    deadline_s: float | np.ndarray | None = None
+    index: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         # One vectorised check per block instead of one per request.
@@ -271,11 +283,52 @@ class RequestBlock:
         demands = self.sustained_time_s
         if not (np.isfinite(demands).all() and (demands > 0).all()):
             raise ValueError("sustained times must be positive and finite")
-        if self.deadline_s is not None and not self.deadline_s > 0:
+        if self.deadline_s is not None and not np.all(np.asarray(self.deadline_s) > 0):
             raise ValueError("deadline must be positive (or None)")
 
     def __len__(self) -> int:
         return self.arrival_s.size
+
+    def __eq__(self, other: object) -> bool:
+        """Equal when every row would materialise to an equal request."""
+        if not isinstance(other, RequestBlock):
+            return NotImplemented
+        n = len(self)
+        return (
+            n == len(other)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.arrival_s, other.arrival_s)
+            and np.array_equal(self.sustained_time_s, other.sustained_time_s)
+            and np.array_equal(self._deadline_rows(), other._deadline_rows())
+            and _rows(self.kernels, n) == _rows(other.kernels, n)
+            and _rows(self.input_labels, n) == _rows(other.input_labels, n)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _deadline_rows(self) -> np.ndarray:
+        deadline = self.deadline_s
+        if np.ndim(deadline):
+            return deadline
+        return np.full(len(self), math.inf if deadline is None else deadline)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Request index of every row."""
+        if self.index is not None:
+            return self.index
+        return np.arange(self.start_index, self.start_index + self.arrival_s.size)
+
+    @property
+    def deadline_at_s(self) -> np.ndarray | None:
+        """Absolute deadline of every row (``inf`` where none), or None.
+
+        ``arrival + deadline`` elementwise is the float operation of
+        :attr:`Request.deadline_at_s`.
+        """
+        if self.deadline_s is None:
+            return None
+        return self.arrival_s + self.deadline_s
 
     def kernel_at(self, i: int) -> str:
         """Kernel name of request ``i`` within the block."""
@@ -289,21 +342,119 @@ class RequestBlock:
             else self.input_labels[i]
         )
 
+    def __getitem__(self, i: int) -> Request:
+        """Row ``i`` materialised as a :class:`Request`."""
+        deadline = self.deadline_s
+        if np.ndim(deadline):
+            deadline = float(deadline[i])
+            if deadline == math.inf:
+                deadline = None
+        return Request(
+            index=int(self.index[i]) if self.index is not None else self.start_index + i,
+            arrival_s=float(self.arrival_s[i]),
+            sustained_time_s=float(self.sustained_time_s[i]),
+            kernel=self.kernel_at(i),
+            input_label=self.label_at(i),
+            deadline_s=deadline,
+        )
+
     def to_requests(self) -> list[Request]:
         """Materialise the block as :class:`Request` objects."""
-        times = self.arrival_s
-        demands = self.sustained_time_s
+        n = len(self)
+        deadline = self.deadline_s
+        if np.ndim(deadline):
+            deadlines = [None if d == math.inf else d for d in deadline.tolist()]
+        else:
+            deadlines = [deadline] * n
         return [
-            Request(
-                index=self.start_index + i,
-                arrival_s=float(times[i]),
-                sustained_time_s=float(demands[i]),
-                kernel=self.kernel_at(i),
-                input_label=self.label_at(i),
-                deadline_s=self.deadline_s,
+            Request(index, arrival, demand, kernel, label, relative)
+            for index, arrival, demand, kernel, label, relative in zip(
+                self.indices.tolist(),
+                self.arrival_s.tolist(),
+                self.sustained_time_s.tolist(),
+                _rows(self.kernels, n),
+                _rows(self.input_labels, n),
+                deadlines,
             )
-            for i in range(times.size)
         ]
+
+    def take(self, rows: np.ndarray) -> "RequestBlock":
+        """The block of the given rows, in the given order, indices kept."""
+
+        def pick(values):
+            if isinstance(values, str):
+                return values
+            return tuple(values[i] for i in rows.tolist())
+
+        deadline = self.deadline_s
+        if np.ndim(deadline):
+            deadline = deadline[rows]
+        return RequestBlock(
+            start_index=0,
+            arrival_s=self.arrival_s[rows],
+            sustained_time_s=self.sustained_time_s[rows],
+            kernels=pick(self.kernels),
+            input_labels=pick(self.input_labels),
+            deadline_s=deadline,
+            index=self.index[rows] if self.index is not None else self.start_index + rows,
+        )
+
+    @classmethod
+    def concat(cls, blocks: "list[RequestBlock]") -> "RequestBlock":
+        """One block holding ``blocks`` back to back."""
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            empty = np.zeros(0)
+            return cls(0, empty, empty, index=np.zeros(0, dtype=np.int64))
+
+        def joined(values):
+            if all(isinstance(v, str) for v in values) and len(set(values)) == 1:
+                return values[0]
+            out: list[str] = []
+            for v, block in zip(values, blocks):
+                out.extend([v] * len(block) if isinstance(v, str) else v)
+            return tuple(out)
+
+        deadlines = [b.deadline_s for b in blocks]
+        if not any(np.ndim(d) for d in deadlines) and len(set(deadlines)) == 1:
+            deadline = deadlines[0]
+        else:
+            deadline = np.concatenate([b._deadline_rows() for b in blocks])
+        return cls(
+            start_index=0,
+            arrival_s=np.concatenate([b.arrival_s for b in blocks]),
+            sustained_time_s=np.concatenate([b.sustained_time_s for b in blocks]),
+            kernels=joined([b.kernels for b in blocks]),
+            input_labels=joined([b.input_labels for b in blocks]),
+            deadline_s=deadline,
+            index=np.concatenate([b.indices for b in blocks]),
+        )
+
+    @classmethod
+    def from_requests(cls, requests: "Sequence[Request]") -> "RequestBlock":
+        """The columns of ``requests``, in the given order."""
+        n = len(requests)
+
+        def column(name: str, dtype) -> np.ndarray:
+            return np.fromiter(map(operator.attrgetter(name), requests), dtype, count=n)
+
+        def uniform_or_rows(name: str):
+            rows = tuple(map(operator.attrgetter(name), requests))
+            return rows[0] if len(set(rows)) == 1 else rows
+
+        deadline = uniform_or_rows("deadline_s")
+        if isinstance(deadline, tuple):
+            deadline = np.array([math.inf if d is None else d for d in deadline])
+        return cls(
+            start_index=0,
+            arrival_s=column("arrival_s", float),
+            sustained_time_s=column("sustained_time_s", float),
+            kernels=uniform_or_rows("kernel"),
+            input_labels=uniform_or_rows("input_label"),
+            deadline_s=deadline,
+            index=column("index", np.int64),
+        )
 
 
 def generate_request_blocks(

@@ -48,7 +48,6 @@ Usage::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -57,10 +56,10 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.thermal_backend import ThermalSpec
 from repro.traffic.arrivals import seed_stream
-from repro.traffic.device import ServedRequest, SprintDevice
+from repro.traffic.device import ServedColumns, SprintDevice
 from repro.traffic.engine import DISPATCH_POLICIES, ServingEngine
 from repro.traffic.governor import GovernorSpec, GovernorStats, SprintGovernor
-from repro.traffic.request import Request
+from repro.traffic.request import Request, RequestBlock
 from repro.traffic.telemetry import EventTrace, RunTelemetry, TelemetrySpec
 from repro.traffic.topology import (
     CascadeGovernor,
@@ -191,12 +190,8 @@ class _RackJob:
     telemetry_spec: TelemetrySpec | None
     execution: str
     seed: np.random.SeedSequence
-    index: np.ndarray
-    arrival_s: np.ndarray
-    sustained_s: np.ndarray
-    deadline_s: np.ndarray
-    kernels: tuple[str, ...] | str
-    input_labels: tuple[str, ...] | str
+    #: The rack's share of the stream, time-ordered, indices kept.
+    requests: RequestBlock
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,7 @@ class _RackOutcome:
     """What one rack shard sends back to the merge."""
 
     path: str
-    served: tuple[ServedRequest, ...]
+    served: ServedColumns
     rejected: tuple[Request, ...]
     abandoned: tuple[Request, ...]
     served_count: int
@@ -218,26 +213,6 @@ class _RackOutcome:
     leaked_grants: int
     fast_path: bool
     fast_path_reason: str | None
-
-
-def _materialize(job: _RackJob) -> list[Request]:
-    kern, lab = job.kernels, job.input_labels
-    uniform_kern = isinstance(kern, str)
-    uniform_lab = isinstance(lab, str)
-    out = []
-    for j in range(job.index.size):
-        deadline = float(job.deadline_s[j])
-        out.append(
-            Request(
-                index=int(job.index[j]),
-                arrival_s=float(job.arrival_s[j]),
-                sustained_time_s=float(job.sustained_s[j]),
-                kernel=kern if uniform_kern else kern[j],
-                input_label=lab if uniform_lab else lab[j],
-                deadline_s=deadline if math.isfinite(deadline) else None,
-            )
-        )
-    return out
 
 
 def _run_rack_job(job: _RackJob) -> _RackOutcome:
@@ -284,7 +259,7 @@ def _run_rack_job(job: _RackJob) -> _RackOutcome:
         execution=job.execution,
     )
     rng = np.random.default_rng(job.seed)
-    outcome = engine.run(_materialize(job), rng)
+    outcome = engine.run_blocks([job.requests], rng)
     governed = not cascade.is_unlimited
     level_stats = (
         cascade.finalize_levels(outcome.final_time_s) if governed else {}
@@ -292,8 +267,8 @@ def _run_rack_job(job: _RackJob) -> _RackOutcome:
     telemetry = None
     if stream is not None or probe is not None or trace is not None:
         horizon = [outcome.final_time_s]
-        if outcome.served:
-            horizon.append(max(s.completed_at_s for s in outcome.served))
+        if len(outcome.outcomes):
+            horizon.append(float(outcome.outcomes.completed_at_s.max()))
         if stream is not None and stream.request_count:
             horizon.append(stream.last_completion_s)
         timeline = None
@@ -302,7 +277,7 @@ def _run_rack_job(job: _RackJob) -> _RackOutcome:
         telemetry = RunTelemetry(stream=stream, timeline=timeline, trace=trace)
     return _RackOutcome(
         path=job.path,
-        served=outcome.served,
+        served=outcome.outcomes,
         rejected=outcome.rejected,
         abandoned=outcome.abandoned,
         served_count=outcome.served_count,
@@ -349,46 +324,26 @@ def _rack_seeds(
 
 def run_sharded(
     sim,
-    requests: Sequence[Request],
+    requests: RequestBlock,
     seed: int | np.random.SeedSequence,
     workers: int = 1,
 ):
     """Run ``sim``'s topology fleet over ``requests`` across ``workers``.
 
     ``sim`` is a :class:`~repro.traffic.fleet.FleetSimulator` constructed
-    with a non-flat ``topology``.  The run plans rack dispatch and parent
-    budget slices upfront (module docstring), fans one job per rack over
-    :func:`~repro.traffic.experiments.pool_map`, and merges shard results into a
-    single :class:`~repro.traffic.fleet.FleetResult` whose
-    ``topology_stats`` carries the per-level grant ledgers.  Results are
-    bit-identical for any ``workers`` value.
+    with a non-flat ``topology``; ``requests`` is the whole stream as
+    columns, ordered by arrival time (then index).  The run plans rack
+    dispatch and parent budget slices upfront (module docstring), fans one
+    job per rack over :func:`~repro.traffic.experiments.pool_map`, and
+    merges the shards' outcome columns into a single
+    :class:`~repro.traffic.fleet.FleetResult` whose ``topology_stats``
+    carries the per-level grant ledgers.  Results are bit-identical for
+    any ``workers`` value.
     """
     from repro.traffic.fleet import FleetResult
     from repro.traffic.experiments import pool_map
 
     topology: TopologySpec = sim.topology
-    ordered = sorted(requests, key=lambda r: (r.arrival_s, r.index))
-    n = len(ordered)
-    arrival = np.fromiter((r.arrival_s for r in ordered), dtype=float, count=n)
-    sustained = np.fromiter(
-        (r.sustained_time_s for r in ordered), dtype=float, count=n
-    )
-    index = np.fromiter((r.index for r in ordered), dtype=np.int64, count=n)
-    deadline = np.fromiter(
-        (
-            math.inf if r.deadline_s is None else r.deadline_s
-            for r in ordered
-        ),
-        dtype=float,
-        count=n,
-    )
-    kernels: tuple[str, ...] | str = tuple(r.kernel for r in ordered)
-    if len(set(kernels)) <= 1:
-        kernels = kernels[0] if kernels else ""
-    labels: tuple[str, ...] | str = tuple(r.input_label for r in ordered)
-    if len(set(labels)) <= 1:
-        labels = labels[0] if labels else ""
-
     racks = list(topology.iter_racks())
     sprint_capable = np.array(
         [
@@ -396,9 +351,13 @@ def run_sharded(
             for _, _, _, rack in racks
         ]
     )
-    plan = plan_shards(topology, arrival, sustained, sprint_capable)
+    plan = plan_shards(topology, requests.arrival_s, requests.sustained_time_s, sprint_capable)
     row_slices, dc_slices = slice_schedules(topology, sim.config, plan.demand)
     seeds = _rack_seeds(seed, topology.n_racks)
+    # Each rack's rows in stream order: a stable sort by rack splits the
+    # stream without one full-length mask per rack.
+    by_rack = np.argsort(plan.rack_of, kind="stable")
+    bounds = np.searchsorted(plan.rack_of[by_rack], np.arange(topology.n_racks + 1))
 
     jobs = []
     first_id = 0
@@ -406,7 +365,6 @@ def run_sharded(
         enabled, speedup, thermal = rack.device_knobs(
             sim.sprint_enabled, sim.sprint_speedup, sim.thermal_spec
         )
-        mask = plan.rack_of == r
         jobs.append(
             _RackJob(
                 config=sim.config,
@@ -428,16 +386,7 @@ def run_sharded(
                 telemetry_spec=sim.telemetry_spec,
                 execution=sim.execution,
                 seed=seeds[r],
-                index=index[mask],
-                arrival_s=arrival[mask],
-                sustained_s=sustained[mask],
-                deadline_s=deadline[mask],
-                kernels=kernels if isinstance(kernels, str) else tuple(
-                    k for k, keep in zip(kernels, mask) if keep
-                ),
-                input_labels=labels if isinstance(labels, str) else tuple(
-                    v for v, keep in zip(labels, mask) if keep
-                ),
+                requests=requests.take(by_rack[bounds[r] : bounds[r + 1]]),
             )
         )
         first_id += rack.n_devices
@@ -449,9 +398,7 @@ def run_sharded(
 
     from repro.traffic.fleet import DeviceStats
 
-    served = sorted(
-        (s for o in outcomes for s in o.served), key=lambda s: s.request.index
-    )
+    served = ServedColumns.concat([o.served for o in outcomes]).by_index()
     rejected = sorted(
         (x for o in outcomes for x in o.rejected), key=lambda x: x.index
     )
@@ -479,7 +426,7 @@ def run_sharded(
     topology_stats = _merge_topology_stats(topology, outcomes)
     telemetry = _merge_telemetry(sim.telemetry_spec, outcomes)
     return FleetResult(
-        served=tuple(served),
+        outcomes=served,
         device_stats=device_stats,
         policy=f"{topology.dispatch}+{sim.policy_name}",
         rejected=tuple(rejected),

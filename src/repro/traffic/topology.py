@@ -50,6 +50,7 @@ Usage::
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -167,8 +168,8 @@ class TopologySpec:
     def __post_init__(self) -> None:
         if not self.rows:
             raise ValueError("a topology needs at least one row")
-        if self.window_s <= 0:
-            raise ValueError("the synchronisation window must be positive")
+        if not 0.0 < self.window_s < math.inf:
+            raise ValueError("the synchronisation window must be positive and finite")
         if self.dispatch not in TOPOLOGY_DISPATCH:
             raise ValueError(
                 f"unknown topology dispatch {self.dispatch!r}; "
@@ -312,6 +313,7 @@ class CascadeGovernor(SprintGovernor):
         if not levels:
             raise ValueError("a cascade needs at least one level")
         self.levels = tuple(levels)
+        self._governors = tuple(governor for _, governor in self.levels)
         self._resets: list[float] = []
         excess = max(g.excess_power_w for _, g in self.levels)
         super().__init__(excess)
@@ -337,29 +339,35 @@ class CascadeGovernor(SprintGovernor):
     # -- the protocol -------------------------------------------------------------------
 
     def acquire(self, now_s: float) -> bool:
-        blocked = [g for _, g in self.levels if g.would_deny(now_s)]
-        if blocked:
-            for governor in blocked:
-                governor.count_denial(now_s)
+        # Each level's saturation is evaluated once before the decision
+        # (the probe) and once after it; the cascade's own at-cap
+        # bookkeeping reuses the levels' answers instead of re-probing.
+        governors = self._governors
+        blocked = [g.would_deny(now_s) for g in governors]
+        if True in blocked:
+            for governor, denies in zip(governors, blocked):
+                if denies:
+                    governor._deny_blocked(now_s)
             self._denied += 1
-            self._update_cap(now_s)
+            self._update_cap(now_s, True)
             return False
-        for _, governor in self.levels:
-            if not governor.acquire(now_s):  # pragma: no cover - probe guarantees
-                raise RuntimeError(
-                    f"{governor.name} denied after a clear would_deny probe"
-                )
+        saturated = False
+        for governor in governors:
+            if governor._grant_cleared(now_s):
+                saturated = True
             self._collect_reset(governor)
-        self._granted += 1
-        self._active += 1
-        self._peak_active = max(self._peak_active, self._active)
-        self._update_cap(now_s)
+        self._record_grant(now_s)
+        self._update_cap(now_s, saturated)
         return True
 
     def release(self, now_s: float, used: bool = True) -> None:
-        for _, governor in self.levels:
-            governor.release(now_s, used=used)
-        super().release(now_s, used=used)
+        saturated = False
+        for governor in self._governors:
+            governor._return_grant(now_s, used)
+            if governor._settle(now_s):
+                saturated = True
+        self._return_grant(now_s, used)
+        self._update_cap(now_s, saturated)
 
     def pop_pending_reset(self) -> float | None:
         if self._resets:
@@ -367,9 +375,8 @@ class CascadeGovernor(SprintGovernor):
         return None
 
     def on_breaker_reset(self, now_s: float) -> None:
-        for _, governor in self.levels:
-            governor.on_breaker_reset(now_s)
-        super().on_breaker_reset(now_s)
+        saturated = [governor._settle(now_s) for governor in self._governors]
+        self._update_cap(now_s, True in saturated)
 
     @property
     def breaker_trips(self) -> int:  # type: ignore[override]
@@ -448,32 +455,45 @@ class SlicedGovernor(SprintGovernor):
         self.slot_caps = slot_caps
         self.headroom_caps_w = headroom_caps_w
         self.trip_caps_w = trip_caps_w
+        # Plain-number mirrors of the per-window caps (the arrays stay the
+        # public record), and the last instant -> window lookup.
+        self._slots = None if slot_caps is None else np.asarray(slot_caps).tolist()
+        self._headroom = None if headroom_caps_w is None else np.asarray(headroom_caps_w).tolist()
+        self._trips_w = None if trip_caps_w is None else np.asarray(trip_caps_w).tolist()
+        self._last_window = len(self._slots if self._slots is not None else self._headroom) - 1
+        self._window_at = float("nan")
+        self._window_index = 0
         super().__init__(excess_power_w, trip_headroom_w=None, penalty_s=penalty_s)
 
     def _window(self, now_s: float) -> int:
-        caps = self.slot_caps if self.slot_caps is not None else self.headroom_caps_w
-        return min(len(caps) - 1, max(0, int(now_s // self.window_s)))
+        # Memoised on the last instant: one grant decision asks for the
+        # same window several times.
+        if now_s != self._window_at:
+            window = int(now_s // self.window_s)
+            self._window_at = now_s
+            self._window_index = min(self._last_window, window) if window > 0 else 0
+        return self._window_index
 
-    def acquire(self, now_s: float) -> bool:
-        if self.trip_caps_w is not None:
+    def _record_grant(self, now_s: float) -> None:
+        if self._trips_w is not None:
             # The slice's share of the parent breaker this window; the base
             # trip check then fires when the slice's own draw exceeds it.
-            cap = float(self.trip_caps_w[self._window(now_s)])
+            cap = self._trips_w[self._window(now_s)]
             self.trip_headroom_w = cap if cap > 0 else None
-        return super().acquire(now_s)
+        super()._record_grant(now_s)
 
     def _decide(self, now_s: float) -> bool:
         return not self._saturated(now_s)
 
     def _saturated(self, now_s: float) -> bool:
-        if self._in_penalty(now_s):
+        if now_s < self._penalty_until:
             return True
         w = self._window(now_s)
-        if self.slot_caps is not None and self._active >= int(self.slot_caps[w]):
+        if self._slots is not None and self._active >= self._slots[w]:
             return True
-        if self.headroom_caps_w is not None:
+        if self._headroom is not None:
             projected = (self._active + 1) * self.excess_power_w
-            if projected > float(self.headroom_caps_w[w]):
+            if projected > self._headroom[w]:
                 return True
         return False
 

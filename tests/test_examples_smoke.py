@@ -216,7 +216,7 @@ def test_fast_path_study(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert COVERED["fast_path_study"] in out
     assert "bit-identical" in out
-    assert "exact loop: policy 'least_loaded'" in out
+    assert "exact loop: policy 'thermal_aware'" in out
     assert "speedup is batched vs exact" in out
 
 

@@ -301,3 +301,40 @@ class TestBlockDeterminism:
     def test_request_blocks_validation(self):
         with pytest.raises(ValueError):
             list(generate_request_blocks(PoissonArrivals(1.0), FixedService(1.0), 0))
+
+
+def _reference_diurnal_sample(process, n, rng):
+    """The original scalar thinning loop, kept as the bit-identity reference."""
+    peak = process.base_rate_hz * (1.0 + process.amplitude)
+    times = np.empty(n)
+    count = 0
+    t = 0.0
+    while count < n:
+        t += rng.exponential(1.0 / peak)
+        if rng.uniform() * peak <= process.rate_at(t):
+            times[count] = t
+            count += 1
+    return times
+
+
+class TestDiurnalThinning:
+    """The locally bound thinning loop draws exactly what the scalar one did."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7919])
+    @pytest.mark.parametrize(
+        "process",
+        [
+            DiurnalArrivals(200.0, amplitude=0.8, period_s=600.0),
+            DiurnalArrivals(0.5, amplitude=0.0, period_s=60.0),
+            DiurnalArrivals(3.0, amplitude=0.95, period_s=86_400.0, peak_at_s=1234.5),
+        ],
+        ids=["dc", "flat", "offset"],
+    )
+    def test_matches_reference_loop(self, process, seed):
+        reference = _reference_diurnal_sample(process, 3_000, np.random.default_rng(seed))
+        whole = process.sample(3_000, np.random.default_rng(seed))
+        blocks = np.concatenate(
+            list(process.sample_blocks(3_000, np.random.default_rng(seed), 700))
+        )
+        assert np.array_equal(whole, reference)
+        assert np.array_equal(blocks, reference)

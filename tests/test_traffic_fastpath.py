@@ -14,14 +14,14 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.fleet import FleetSimulator
-from repro.traffic.governor import GovernorSpec
-from repro.traffic.request import (
-    GammaService,
-    RequestBlock,
-    generate_request_blocks,
-    generate_requests,
+from repro.traffic.governor import (
+    CooperativeThresholdGovernor,
+    GovernorSpec,
+    GreedyGovernor,
 )
-from repro.traffic.topology import TopologySpec
+from repro.traffic.request import GammaService, RequestBlock, generate_requests
+from repro.traffic.telemetry import TelemetrySpec
+from repro.traffic.topology import CascadeGovernor, TopologySpec
 
 POLICIES = ("round_robin", "random", "least_loaded", "thermal_aware")
 MODES = ("immediate", "central_queue")
@@ -32,8 +32,8 @@ GOVERNORS = (
 )
 THERMALS = ("linear", "rc", "pcm")
 
-#: The envelope fastpath.unsupported_reason promises to vectorize.
-BATCHABLE = ("round_robin", "random")
+#: Immediate policies fastpath.unsupported_reason promises to batch.
+BATCHABLE = ("round_robin", "random", "least_loaded")
 
 
 @pytest.fixture(scope="module")
@@ -145,9 +145,11 @@ class TestFallbackReasons:
         )._make_engine()
         assert "grant replay" in engine.fast_path_reason
 
-    def test_physics_thermal_reason(self, config):
-        engine = build_fleet(config, "batched", thermal="rc")._make_engine()
-        assert "thermal backend" in engine.fast_path_reason
+    @pytest.mark.parametrize("thermal", ("rc", "pcm"))
+    def test_physics_thermal_engages(self, config, thermal):
+        """RC and PCM devices run their own pacer inside the event core."""
+        engine = build_fleet(config, "batched", thermal=thermal)._make_engine()
+        assert engine.fast_path_reason is None
 
     def test_observers_ride_the_fast_path(self, config, requests):
         """Streaming instruments no longer force the exact loop."""
@@ -167,7 +169,7 @@ class TestFallbackReasons:
         assert engine.fast_path_reason is not None
 
     def test_ineligible_batched_run_falls_back(self, config, requests):
-        fleet = build_fleet(config, "batched", policy="least_loaded")
+        fleet = build_fleet(config, "batched", policy="thermal_aware")
         engine = fleet._make_engine()
         engine.run(requests, np.random.default_rng(0))
         assert not engine.last_run_fast_path
@@ -230,13 +232,63 @@ class TestStreamingEntryPoints:
             engine.run_blocks(iter(blocks), np.random.default_rng(0))
 
 
+def cascade_governor(config):
+    """A two-level grant chain: two rack slots under a 30 W row budget."""
+    excess_w = config.sprint_power_w - config.sustainable_power_w
+    return CascadeGovernor(
+        [
+            ("rack", GreedyGovernor(excess_w, max_concurrent_sprints=2)),
+            ("row", CooperativeThresholdGovernor(excess_w, trip_headroom_w=30.0)),
+        ]
+    )
+
+
+#: Governors of the differential tests; "cascade" is built per fleet.
 FUZZ_GOVERNORS = (
     GovernorSpec(),
     GovernorSpec.greedy(2),
     GovernorSpec.cooperative(trip_headroom_w=30.0),
+    "cascade",
     GovernorSpec.token_bucket(0.5, 3.0),
 )
 FUZZ_DISCIPLINES = ("immediate", "fifo", "edf")
+
+
+def governor_id(governor) -> str:
+    return governor if isinstance(governor, str) else governor.policy
+
+
+def fleet_knobs(config, policy, discipline, governor, thermal, telemetry):
+    central = discipline != "immediate"
+    return dict(
+        policy=policy,
+        mode="central_queue" if central else "immediate",
+        discipline=discipline if central else "fifo",
+        governor=cascade_governor(config) if governor == "cascade" else governor,
+        thermal=thermal,
+        telemetry=telemetry,
+    )
+
+
+def assert_replay_matches_exact(config, requests, knobs):
+    """The batched run equals engine="exact" and engages as the envelope says."""
+    exact = build_fleet(config, "exact", **fleet_knobs(config, **knobs)).run(requests, seed=7)
+    fast = build_fleet(config, "batched", **fleet_knobs(config, **knobs)).run(requests, seed=7)
+    assert_identical(exact, fast)
+    assert exact.summary() == fast.summary()
+    # Telemetry sketches must agree too, not just sample lists.
+    if knobs["telemetry"]:
+        for q in (0.5, 0.9, 0.99):
+            assert exact.telemetry.stream.latency.quantile(
+                q
+            ) == fast.telemetry.stream.latency.quantile(q)
+    central = knobs["discipline"] != "immediate"
+    expected = governor_id(knobs["governor"]) != "token_bucket" and (
+        knobs["discipline"] == "fifo" if central else knobs["policy"] in BATCHABLE
+    )
+    assert fast.fast_path == expected
+    assert (fast.fast_path_reason is None) == expected
+    assert not exact.fast_path
 
 
 def fuzz_configs(n):
@@ -252,51 +304,87 @@ def fuzz_configs(n):
         )
 
 
-class TestEnvelopeHonestyFuzz:
-    """Random (governor × discipline × thermal × telemetry) configurations:
-    every one is bit-identical across engines, engages exactly where the
-    envelope predicate promises, and otherwise names its fallback reason."""
-
-    @pytest.mark.parametrize(
-        "knobs",
-        list(fuzz_configs(24)),
-        ids=lambda k: (
-            f"{k['policy']}-{k['discipline']}-{k['governor'].policy}"
-            f"-{k['thermal']}-{'tele' if k['telemetry'] else 'plain'}"
-        ),
+def knob_id(k) -> str:
+    return (
+        f"{k['policy']}-{k['discipline']}-{governor_id(k['governor'])}"
+        f"-{k['thermal']}-{'tele' if k['telemetry'] else 'plain'}"
     )
+
+
+class TestReplayDifferential:
+    """The batch-replay core against the exact loop over the whole knob
+    space: every configuration is bit-identical across engines and engages
+    exactly where the envelope predicate promises."""
+
+    @pytest.mark.parametrize("knobs", list(fuzz_configs(24)), ids=knob_id)
     def test_fuzzed_config_is_honest(self, config, requests, knobs):
-        central = knobs["discipline"] != "immediate"
-        kw = dict(
-            policy=knobs["policy"],
-            mode="central_queue" if central else "immediate",
-            discipline=knobs["discipline"] if central else "fifo",
-            governor=knobs["governor"],
-            thermal=knobs["thermal"],
-            telemetry=knobs["telemetry"],
+        assert_replay_matches_exact(config, requests, knobs)
+
+    @pytest.mark.parametrize("telemetry", (False, True), ids=("plain", "tele"))
+    @pytest.mark.parametrize("thermal", THERMALS)
+    @pytest.mark.parametrize("governor", FUZZ_GOVERNORS[:4], ids=governor_id)
+    def test_least_loaded_replay(self, config, requests, governor, thermal, telemetry):
+        """least_loaded x every thermal backend x every replayable governor."""
+        knobs = dict(
+            policy="least_loaded",
+            discipline="immediate",
+            governor=governor,
+            thermal=thermal,
+            telemetry=telemetry,
         )
-        exact = build_fleet(config, "exact", **kw).run(requests, seed=7)
-        fast = build_fleet(config, "batched", **kw).run(requests, seed=7)
+        assert_replay_matches_exact(config, requests, knobs)
+
+    @pytest.mark.parametrize("queue_bound", (None, 3))
+    @pytest.mark.parametrize("governor", ("cascade", GovernorSpec()), ids=governor_id)
+    def test_deadline_lifecycle_replay(self, config, governor, queue_bound):
+        """Central FIFO with deadlines and admission control: abandonment
+        and rejection land on the same requests at the same instants."""
+        requests = generate_requests(
+            PoissonArrivals(2.5), GammaService(2.0, cv=1.0), n=300, seed=29, deadline_s=3.0
+        )
+        knobs = dict(
+            policy="round_robin",
+            discipline="fifo",
+            governor=governor,
+            thermal="rc",
+            telemetry=TelemetrySpec(timeline_cadence_s=20.0, trace_capacity=0),
+        )
+        kw = fleet_knobs(config, **knobs)
+        exact = build_fleet(config, "exact", queue_bound=queue_bound, **kw).run(requests, seed=7)
+        kw = fleet_knobs(config, **knobs)
+        fast = build_fleet(config, "batched", queue_bound=queue_bound, **kw).run(requests, seed=7)
+        assert fast.fast_path
+        if queue_bound is None:
+            assert exact.abandoned_count > 0
+        else:
+            assert exact.rejected_count > 0
         assert_identical(exact, fast)
-        # Telemetry sketches must agree too, not just sample lists.
-        if knobs["telemetry"]:
-            for q in (0.5, 0.9, 0.99):
-                assert exact.telemetry.stream.latency.quantile(
-                    q
-                ) == fast.telemetry.stream.latency.quantile(q)
-        # Honest engagement: the run's path matches the static envelope.
-        expected = (
-            knobs["thermal"] == "linear"
-            and knobs["governor"].policy != "token_bucket"
-            and (
-                knobs["discipline"] == "fifo"
-                if central
-                else knobs["policy"] in BATCHABLE
-            )
+        assert exact.summary() == fast.summary()
+        assert exact.telemetry.timeline.to_dict() == fast.telemetry.timeline.to_dict()
+        assert exact.telemetry.trace.records == fast.telemetry.trace.records
+
+    @pytest.mark.parametrize("thermal", ("linear", "pcm"))
+    @pytest.mark.parametrize(
+        "policy, discipline",
+        [("least_loaded", "immediate"), ("random", "immediate"), ("round_robin", "fifo")],
+    )
+    def test_timeline_and_trace_replay(self, config, requests, policy, discipline, thermal):
+        """The per-event instruments (timeline probe, event trace) record the
+        same windows and the same events on both engines."""
+        spec = TelemetrySpec(timeline_cadence_s=20.0, trace_capacity=0)
+        knobs = dict(
+            policy=policy,
+            discipline=discipline,
+            governor="cascade",
+            thermal=thermal,
+            telemetry=spec,
         )
-        assert fast.fast_path == expected
-        assert (fast.fast_path_reason is None) == expected
-        assert not exact.fast_path
+        exact = build_fleet(config, "exact", **fleet_knobs(config, **knobs)).run(requests, seed=7)
+        fast = build_fleet(config, "batched", **fleet_knobs(config, **knobs)).run(requests, seed=7)
+        assert fast.fast_path
+        assert_identical(exact, fast)
+        assert exact.telemetry.timeline.to_dict() == fast.telemetry.timeline.to_dict()
+        assert exact.telemetry.trace.records == fast.telemetry.trace.records
 
 
 class TestGovernedCentralAcceptance:
@@ -371,32 +459,3 @@ class TestShardedFastPath:
         fanned = self.run_once(config, "batched", workers=3)
         assert fanned.fast_path
         assert_identical(serial, fanned)
-
-
-class TestPushMany:
-    """LeastLoadedIndex.push_many is pick-equivalent to per-position updates."""
-
-    @pytest.mark.parametrize("batch", [1, 3, 16])
-    def test_matches_sequential_updates(self, config, batch):
-        from repro.traffic.device import SprintDevice
-        from repro.traffic.engine import LeastLoadedIndex
-        from repro.traffic.request import Request
-
-        rng = np.random.default_rng(batch)
-        devices = [SprintDevice(config, device_id=i) for i in range(16)]
-        mirror = [SprintDevice(config, device_id=i) for i in range(16)]
-        indexed = LeastLoadedIndex(devices)
-        reference = LeastLoadedIndex(mirror)
-        t = 0.0
-        for step in range(20):
-            t += float(rng.exponential(2.0))
-            positions = [int(p) for p in rng.integers(16, size=batch)]
-            for pos in positions:
-                request = Request(
-                    index=0, arrival_s=t, sustained_time_s=float(rng.uniform(1, 4))
-                )
-                devices[pos].serve(request)
-                mirror[pos].serve(request)
-                reference.update(pos)
-            indexed.push_many(positions)
-            assert indexed.pick(t) == reference.pick(t)

@@ -15,12 +15,15 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.thermal_backend import ThermalSpec
 from repro.traffic import (
     FixedService,
     GammaService,
+    GovernorSpec,
     PoissonArrivals,
     Request,
     Scenario,
+    TopologySpec,
     TraceArrivals,
 )
 from repro.traffic.request import RequestBlock, generate_request_blocks
@@ -125,3 +128,37 @@ def _scenario(**options) -> Scenario:
 def test_scenario_rejects_bad_knobs_at_construction(options):
     with pytest.raises(ValueError):
         _scenario(**options)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: GovernorSpec.greedy(2, trip_headroom_w=NAN), "trip headroom"),
+        (lambda: GovernorSpec.greedy(2, trip_headroom_w=INF), "trip headroom"),
+        (lambda: GovernorSpec.cooperative(NAN), "trip headroom"),
+        (lambda: GovernorSpec.greedy(2, penalty_s=NAN), "penalty"),
+        (lambda: GovernorSpec.token_bucket(INF, 3.0), "sprint_rate_hz"),
+        (lambda: GovernorSpec.token_bucket(NAN, 3.0), "sprint_rate_hz"),
+        (lambda: GovernorSpec.token_bucket(0.5, INF), "burst_sprints"),
+        (lambda: TopologySpec.uniform(1, 2, 2, window_s=NAN), "window"),
+        (lambda: TopologySpec.uniform(1, 2, 2, window_s=INF), "window"),
+        (lambda: ThermalSpec(backend="rc", time_constant_s=NAN), "time constant"),
+        (lambda: ThermalSpec(backend="rc", time_constant_s=INF), "time constant"),
+    ],
+    ids=[
+        "headroom-nan",
+        "headroom-inf",
+        "coop-headroom-nan",
+        "penalty-nan",
+        "token-rate-inf",
+        "token-rate-nan",
+        "token-burst-inf",
+        "window-nan",
+        "window-inf",
+        "tau-nan",
+        "tau-inf",
+    ],
+)
+def test_budget_and_thermal_specs_reject_non_finite_knobs(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

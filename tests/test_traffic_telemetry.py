@@ -300,10 +300,14 @@ class TestSketchSummary:
         assert flat.horizon_s == pytest.approx(exact.horizon_s)
 
     def test_summary_without_stream_raises(self):
+        from repro.traffic.device import ServedColumns
         from repro.traffic.fleet import FleetResult
 
         orphan = FleetResult(
-            served=(), device_stats=(), policy="least_loaded", served_count=5
+            outcomes=ServedColumns.empty(),
+            device_stats=(),
+            policy="least_loaded",
+            served_count=5,
         )
         with pytest.raises(ValueError, match="keep_samples"):
             orphan.summary()

@@ -11,7 +11,10 @@ code base:
   sojourn time ``Wq + 1/mu``;
 * Erlang B — the blocking probability of the M/M/c/c loss system, which
   a central queue bounded at zero (``queue_bound=0``) implements: an
-  arrival that finds every device busy is rejected.
+  arrival that finds every device busy is rejected;
+* Pollaczek–Khinchine — the mean wait in queue of M/G/1,
+  ``Wq = lambda E[S^2] / (2 (1 - rho))``, on one device with fixed
+  (M/D/1) and gamma (cv 0.5) service demands.
 
 Each metric is measured through the replication layer: :func:`run_until`
 adds replications until the 95% confidence interval is tighter than a
@@ -26,6 +29,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.traffic import (
+    FixedService,
     GammaService,
     PoissonArrivals,
     ReplicationPlan,
@@ -123,3 +127,47 @@ class TestErlangB:
         assert low <= self.blocking <= high, (low, self.blocking, high)
         # Every accepted request starts at once: a loss system never queues.
         assert all(s.mean_queueing_s == 0.0 for s in experiment.summaries)
+
+
+def pollaczek_khinchine_wait(rate_hz: float, mean_s: float, cv: float) -> float:
+    """Mean wait in queue of M/G/1: lambda E[S^2] / (2 (1 - rho))."""
+    second_moment = (1.0 + cv * cv) * mean_s * mean_s
+    return rate_hz * second_moment / (2.0 * (1.0 - rate_hz * mean_s))
+
+
+class TestPollaczekKhinchine:
+    """M/D/1 and M/G/1 at utilisation 0.6 on a single sprint-disabled device."""
+
+    rate_hz = 0.12
+
+    def experiment(self, service):
+        scenario = Scenario(
+            arrivals=PoissonArrivals(self.rate_hz),
+            service=service,
+            n_requests=REQUESTS,
+            n_devices=1,
+            mode="central_queue",
+            discipline="fifo",
+            sprint_enabled=False,
+            keep_samples=False,
+        )
+        plan = ReplicationPlan(scenario, n_replications=8)
+        return run_until(plan, target_half_width=0.25, metric="mean_queueing_s", config=CONFIG)
+
+    def test_theory_values(self):
+        assert pollaczek_khinchine_wait(self.rate_hz, MEAN_SERVICE_S, 0.0) == pytest.approx(3.75)
+        assert pollaczek_khinchine_wait(self.rate_hz, MEAN_SERVICE_S, 0.5) == pytest.approx(4.6875)
+
+    @pytest.mark.parametrize(
+        "service, cv",
+        [(FixedService(MEAN_SERVICE_S), 0.0), (GammaService(MEAN_SERVICE_S, cv=0.5), 0.5)],
+        ids=["M/D/1", "M/G/1-gamma"],
+    )
+    def test_mean_wait(self, service, cv):
+        wait_s = pollaczek_khinchine_wait(self.rate_hz, MEAN_SERVICE_S, cv)
+        experiment = self.experiment(service)
+        estimate = experiment.estimate("mean_queueing_s")
+        assert estimate.half_width <= 0.25
+        assert estimate.ci_low <= wait_s <= estimate.ci_high, estimate
+        sojourn = experiment.estimate("mean_latency_s")
+        assert sojourn.ci_low <= wait_s + MEAN_SERVICE_S <= sojourn.ci_high, sojourn

@@ -15,8 +15,12 @@ The topology layer makes three load-bearing promises this suite locks:
 
 from __future__ import annotations
 
+import copy
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SystemConfig
 from repro.traffic import (
@@ -35,8 +39,15 @@ from repro.traffic import (
     run_replications,
 )
 from repro.traffic.sweep import expand_cells, run_cell
+from repro.traffic.governor import (
+    CooperativeThresholdGovernor,
+    GreedyGovernor,
+    SprintGovernor,
+    TokenBucketGovernor,
+)
 from repro.traffic.topology import (
     CascadeGovernor,
+    SlicedGovernor,
     apportion_slots,
     slice_schedules,
 )
@@ -419,3 +430,143 @@ class TestGridAndExperiments:
         assert [s.to_dict() for s in serial.summaries] == [
             s.to_dict() for s in fanned.summaries
         ]
+
+
+# -- the cascade against a reference probe-then-commit cascade ---------------------------
+
+
+class ReferenceCascade(CascadeGovernor):
+    """The straightforward cascade protocol: probe every level, then commit
+    through each level's public acquire/release/count_denial, re-probing
+    every level for the cascade's own at-cap bookkeeping."""
+
+    def acquire(self, now_s: float) -> bool:
+        blocked = [g for _, g in self.levels if g.would_deny(now_s)]
+        if blocked:
+            for governor in blocked:
+                governor.count_denial(now_s)
+            self._denied += 1
+            self._update_cap(now_s)
+            return False
+        for _, governor in self.levels:
+            assert governor.acquire(now_s)
+            self._collect_reset(governor)
+        self._granted += 1
+        self._active += 1
+        self._peak_active = max(self._peak_active, self._active)
+        self._update_cap(now_s)
+        return True
+
+    def release(self, now_s: float, used: bool = True) -> None:
+        for _, governor in self.levels:
+            governor.release(now_s, used=used)
+        SprintGovernor.release(self, now_s, used=used)
+
+    def on_breaker_reset(self, now_s: float) -> None:
+        for _, governor in self.levels:
+            governor.on_breaker_reset(now_s)
+        SprintGovernor.on_breaker_reset(self, now_s)
+
+    def _saturated(self, now_s: float) -> bool:
+        return any(g.would_deny(now_s) for _, g in self.levels)
+
+
+LEVEL_EXCESS_W = 10.0
+CASCADE_WINDOW_S = 5.0
+
+rack_levels = st.one_of(
+    st.builds(
+        lambda k, trip, penalty: GreedyGovernor(
+            LEVEL_EXCESS_W, k, trip_headroom_w=trip, penalty_s=penalty
+        ),
+        st.integers(1, 4),
+        st.sampled_from([None, 15.0, 25.0]),
+        st.sampled_from([0.0, 3.0]),
+    ),
+    st.builds(
+        lambda trip, penalty: CooperativeThresholdGovernor(LEVEL_EXCESS_W, trip, penalty),
+        st.sampled_from([10.0, 25.0, 40.0]),
+        st.sampled_from([0.0, 3.0]),
+    ),
+    st.builds(
+        lambda rate, burst, trip, penalty: TokenBucketGovernor(
+            LEVEL_EXCESS_W, rate, burst, trip_headroom_w=trip, penalty_s=penalty
+        ),
+        st.sampled_from([0.2, 1.0]),
+        st.sampled_from([1.0, 2.5]),
+        st.sampled_from([None, 15.0]),
+        st.sampled_from([0.0, 2.0]),
+    ),
+)
+
+row_slices = st.builds(
+    lambda slots, trips, penalty: SlicedGovernor(
+        "row",
+        LEVEL_EXCESS_W,
+        CASCADE_WINDOW_S,
+        slot_caps=np.array(slots),
+        trip_caps_w=np.array(trips),
+        penalty_s=penalty,
+    ),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    st.lists(st.sampled_from([0.0, 15.0, 30.0]), min_size=4, max_size=4),
+    st.sampled_from([0.0, 4.0]),
+)
+datacenter_slices = st.builds(
+    lambda headroom, penalty: SlicedGovernor(
+        "datacenter",
+        LEVEL_EXCESS_W,
+        CASCADE_WINDOW_S,
+        headroom_caps_w=np.array(headroom),
+        trip_caps_w=np.array(headroom),
+        penalty_s=penalty,
+    ),
+    st.lists(st.sampled_from([5.0, 20.0, 35.0]), min_size=4, max_size=4),
+    st.sampled_from([0.0, 4.0]),
+)
+sliced_levels = st.one_of(row_slices, datacenter_slices)
+
+schedules = st.lists(
+    st.tuples(
+        st.sampled_from(["acquire", "acquire", "release", "release_unused"]),
+        st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.5]),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), schedule=schedules)
+def test_cascade_matches_reference_probe_then_commit(data, schedule):
+    """Random acquire/release/breaker-reset schedules leave every ledger of
+    the single-evaluation cascade equal to the reference's, field by field."""
+    levels = [("rack", data.draw(rack_levels))]
+    for name in ("row", "datacenter")[: data.draw(st.integers(0, 2))]:
+        levels.append((name, data.draw(sliced_levels)))
+    fast = CascadeGovernor(copy.deepcopy(levels))
+    reference = ReferenceCascade(copy.deepcopy(levels))
+    resets: list[float] = []
+    now = 0.0
+    for op, dt in schedule:
+        now += dt
+        while resets and resets[0] <= now:
+            at = heapq.heappop(resets)
+            fast.on_breaker_reset(at)
+            reference.on_breaker_reset(at)
+        if op == "acquire":
+            assert fast.acquire(now) == reference.acquire(now)
+            while (at := fast.pop_pending_reset()) is not None:
+                assert at == reference.pop_pending_reset()
+                heapq.heappush(resets, at)
+            assert reference.pop_pending_reset() is None
+        elif fast.active_grants:
+            fast.release(now, used=op == "release")
+            reference.release(now, used=op == "release")
+        assert fast.active_grants == reference.active_grants
+    for at in sorted(resets):
+        fast.on_breaker_reset(at)
+        reference.on_breaker_reset(at)
+    end = max(now, *resets) + 1.0 if resets else now + 1.0
+    assert fast.finalize(end) == reference.finalize(end)
+    assert fast.finalize_levels(end) == reference.finalize_levels(end)
